@@ -10,6 +10,7 @@ Decoy ads are house ads: zero bid, no advertiser, and never a ledger entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .domain import (
@@ -126,6 +127,7 @@ class Broker:
         self.bluff_clicks: dict[str, int] = {}
         self._served: set = set()  # (agent_id, page_id, ad_id)
         self._day = 0
+        self._rows: dict = {}  # profile -> ranking row, see rank_ads
 
         for c in campaigns:
             if c.advertiser_id in self.campaigns:
@@ -139,6 +141,10 @@ class Broker:
                 self.ads[ad.ad_id] = ad
                 self._ad_owner[ad.ad_id] = c.advertiser_id
                 self.quality[ad.ad_id] = QualityScore()
+        self._inventory = sorted(
+            ((c, ad, self.quality[ad.ad_id]) for c in campaigns for ad in c.ads),
+            key=lambda entry: entry[1].ad_id,
+        )
 
         pool_rng = SplitMix64.for_stream(seed, stream=3)  # STREAM_BLUFF_POOL
         self._bluff_pool = self._build_bluff_pool(pool_rng)
@@ -226,19 +232,35 @@ class Broker:
 
         Zero-score ads (no targeting overlap) are not served.  Ties break by
         ascending ad_id.  May return fewer than ``slots`` ads.
+
+        Relevance is the only factor fixed per (profile, ad), so each distinct
+        profile value gets one cached row of (campaign, ad, QualityScore,
+        relevance) for its ads with non-zero relevance, in ad_id order.  Rows
+        grow with distinct profiles, not with users, and assume the inventory
+        and ad targeting are fixed for the broker's life.  Budget and quality
+        are read live from the row's objects on every call, and the score is
+        the same float expression as ``score``; the stable sort on -score
+        keeps the ad_id tie order.
         """
         if slots < 1:
             raise ValueError("slots must be >= 1")
+        row = self._rows.get(profile)
+        if row is None:
+            row = []
+            for c, ad, qs in self._inventory:
+                r = self.rel.get(profile, ad.targeting)
+                if r > 0.0:
+                    row.append((c, ad, qs, r))
+            self._rows[profile] = row
         scored = []
-        for c in self.campaigns.values():
-            if c.remaining_micros() <= 0:
+        for c, ad, qs, r in row:
+            if c.spent_today_micros >= c.daily_budget_micros:
                 continue
-            for ad in c.ads:
-                s = self.score(profile, ad)
-                if s > 0.0:
-                    scored.append((-s, ad.ad_id, ad))
-        scored.sort(key=lambda x: (x[0], x[1]))
-        return [ad for _, _, ad in scored[:slots]]
+            s = ad.bid_micros * ((qs.clicks + 1) / (qs.impressions + 2)) * r
+            if s > 0.0:
+                scored.append((-s, ad))
+        scored.sort(key=itemgetter(0))
+        return [ad for _, ad in scored[:slots]]
 
     def serve_page(
         self,

@@ -93,9 +93,12 @@ def relevance(a: TopicVector, b: TopicVector) -> float:
 class RelevanceCache:
     """Memoizes relevance over (vector, vector) pairs.
 
-    Topic vectors are hashable tuples, so the cache key is just the pair.
-    Profiles and ad vectors are static for the life of a run, which makes the
-    hit rate very high in the serving loop.
+    Topic vectors are hashable tuples, so the cache key is just the pair,
+    and every lookup hashes both vectors.  Profiles and ad vectors are static
+    for the life of a run.  Ranking does not look up each (profile, ad) pair
+    per page: ``Broker.rank_ads`` calls ``get`` once per pair to build a
+    per-profile row and reuses the row, so in the serving loop the cache
+    mostly answers decoy construction and click decisions.
     """
 
     __slots__ = ("_cache",)

@@ -33,6 +33,9 @@ from .rng import (
     SplitMix64,
 )
 
+MAX_BENIGN = 1 << 24  # 10.x.y.z, one address per benign user
+MAX_BOT_IP_GROUPS = 1 << 20  # 172.16.0.0/12, one address per bot IP group
+
 
 @dataclass
 class BehaviorParams:
@@ -115,6 +118,15 @@ class TrafficMix:
             raise ConfigError(f"{path}: total population must be positive")
         if self.ip_sharing_factor < 1:
             raise ConfigError(f"{path}.ip_sharing_factor must be >= 1")
+        # Beyond these address spaces, unrelated agents would share an IP.
+        if self.n_benign > MAX_BENIGN:
+            raise ConfigError(f"{path}.n_benign exceeds the {MAX_BENIGN} addresses of 10.0.0.0/8")
+        bot_groups = -(-(self.total() - self.n_benign) // self.ip_sharing_factor)
+        if bot_groups > MAX_BOT_IP_GROUPS:
+            raise ConfigError(
+                f"{path}: {bot_groups} bot IP groups exceed the {MAX_BOT_IP_GROUPS} "
+                "addresses of 172.16.0.0/12; raise ip_sharing_factor or shrink the bot cohorts"
+            )
         if self.region_count < 1:
             raise ConfigError(f"{path}.region_count must be >= 1")
         if self.benign_topics < 2:
@@ -237,7 +249,7 @@ def build_population(
                             topic_dim, {lo + a_off: 0.49, lo + b_off: 0.49}, 0.02
                         )
                 group = bot_ip_serial // mix.ip_sharing_factor
-                ip = f"172.16.{(group >> 8) & 0xFF}.{group & 0xFF}"
+                ip = f"172.{16 + (group >> 16)}.{(group >> 8) & 0xFF}.{group & 0xFF}"
                 bot_ip_serial += 1
             region = region_for(ip, rng)
             agents.append(

@@ -1,6 +1,7 @@
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bluffsim.broker import Broker, Campaign, ConfigError, InjectionConfig
 from bluffsim.detection import Blacklist
@@ -300,3 +301,87 @@ def test_per_advertiser_daily_ledger_within_budget():
             broker.record_click(served[0].ad_id, t + 1, "u", page)
     for (advertiser, _day), spent in broker.ledger.per_advertiser_day().items():
         assert spent <= broker.campaigns[advertiser].daily_budget_micros
+
+
+# -- ranking equivalence -------------------------------------------------------------
+
+
+def reference_rank(broker, profile, slots):
+    """Brute force over every campaign and ad with ``Broker.score``."""
+    scored = []
+    for c in broker.campaigns.values():
+        if c.remaining_micros() <= 0:
+            continue
+        for ad in c.ads:
+            s = broker.score(profile, ad)
+            if s > 0.0:
+                scored.append((-s, ad.ad_id, ad))
+    scored.sort(key=lambda x: (x[0], x[1]))
+    return [ad for _, _, ad in scored[:slots]]
+
+
+# Few distinct vectors and bids, so equal scores and zero relevance are common.
+VECTORS = (
+    basis_vector(D, 0),
+    basis_vector(D, 1),
+    tuple(1.0 if i < 2 else 0.0 for i in range(D)),
+    tuple(0.6 if i == 0 else 0.3 if i == 1 else 0.01 for i in range(D)),
+)
+BIDS = (50, 100, 100, 200)
+
+
+@st.composite
+def inventories(draw):
+    n_campaigns = draw(st.integers(1, 4))
+    sizes = [draw(st.integers(1, 4)) for _ in range(n_campaigns)]
+    # Ad ids in an order unrelated to campaign order, so ties test the sort.
+    ids = draw(st.permutations(range(sum(sizes))))
+    campaigns = []
+    k = 0
+    for ci, size in enumerate(sizes):
+        ads = []
+        for _ in range(size):
+            v = draw(st.sampled_from(VECTORS))
+            bid = draw(st.sampled_from(BIDS))
+            ads.append(AdUnit(f"ad{ids[k]:02d}", AdKind.REAL, v, v, bid_micros=bid, advertiser_id=f"c{ci}"))
+            k += 1
+        budget = draw(st.sampled_from((100, 300, 10**9)))
+        campaigns.append(Campaign(advertiser_id=f"c{ci}", ads=ads, daily_budget_micros=budget))
+    return campaigns
+
+
+operations = st.one_of(
+    st.tuples(st.just("rank"), st.sampled_from(VECTORS), st.integers(1, 6)),
+    st.tuples(st.just("quality"), st.integers(0, 15), st.integers(0, 3), st.integers(0, 3)),
+    st.tuples(st.just("spend"), st.integers(0, 3), st.sampled_from((0, 50, 100, 300))),
+    st.tuples(st.just("next_day"), st.sampled_from(VECTORS), st.integers(1, 6)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(inventories(), st.lists(operations, min_size=1, max_size=25))
+def test_rank_ads_matches_brute_force_reference(campaigns, ops):
+    broker = make_broker(campaigns)
+    ad_ids = sorted(broker.quality)
+    day = 0
+    page = 0
+    for op in ops:
+        kind = op[0]
+        if kind == "quality":
+            # Counters change after the profile's row may have been cached.
+            qs = broker.quality[ad_ids[op[1] % len(ad_ids)]]
+            qs.impressions += op[2] + op[3]
+            qs.clicks += op[3]
+        elif kind == "spend":
+            c = campaigns[op[1] % len(campaigns)]
+            c.spent_today_micros = min(op[2], c.daily_budget_micros)
+        else:
+            _, profile, slots = op
+            if kind == "next_day":
+                # serve_page resets every budget at the day boundary.
+                day += 1
+                page += 1
+                broker.serve_page(profile, slots, SplitMix64.for_stream(page, 2), day * MS_PER_DAY, "u", page)
+                assert all(c.spent_today_micros == 0 for c in campaigns)
+            expected = reference_rank(broker, profile, slots)
+            assert broker.rank_ads(profile, slots) == expected

@@ -162,6 +162,35 @@ def test_population_benign_ips_unique_bots_shared():
     assert set(ip_regions) == set(benign_ips) | set(bot_ips)
 
 
+def test_population_bot_ips_continue_past_65536_groups():
+    # Group 65,536 opens 172.17.0.0; earlier groups keep their 172.16 address.
+    mix = TrafficMix(n_benign=1, n_random_bot=65_537, n_trained_bot=0, ip_sharing_factor=1)
+    agents, _ = build_population(mix, D, seed=0)
+    bot_ips = [a.ip for a in agents if a.kind is AgentKind.RANDOM_BOT]
+    assert len(set(bot_ips)) == 65_537
+    assert bot_ips[0] == "172.16.0.0"
+    assert bot_ips[65_535] == "172.16.255.255"
+    assert bot_ips[65_536] == "172.17.0.0"
+
+
+@pytest.mark.parametrize(
+    "mix",
+    [
+        TrafficMix(n_benign=(1 << 24) + 1, n_random_bot=0, n_trained_bot=0),
+        TrafficMix(n_benign=1, n_random_bot=(1 << 20) + 1, n_trained_bot=0, ip_sharing_factor=1),
+        TrafficMix(n_benign=1, n_random_bot=1 << 21, n_trained_bot=1, ip_sharing_factor=2),
+    ],
+)
+def test_population_beyond_address_space_rejected(mix):
+    with pytest.raises(ConfigError, match="mix"):
+        build_population(mix, D, seed=0)
+
+
+def test_population_at_address_space_limit_validates():
+    TrafficMix(n_benign=1 << 24, n_random_bot=0, n_trained_bot=0).validate()
+    TrafficMix(n_benign=1, n_random_bot=1 << 21, n_trained_bot=0, ip_sharing_factor=2).validate()
+
+
 def test_population_ids_stable_when_view_bots_added():
     mix = TrafficMix(n_benign=10, n_random_bot=2, n_trained_bot=2)
     base, _ = build_population(mix, D, seed=3)
