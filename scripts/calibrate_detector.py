@@ -11,40 +11,9 @@ Usage: python scripts/calibrate_detector.py [n_seeds]
 """
 
 import sys
-from collections import defaultdict
 
 from bluffsim.config import load_config
-from bluffsim.detection import classify_decoy_click
-from bluffsim.domain import AdKind, EventType, event_sort_key
 from bluffsim.pipeline import run_scenario
-
-
-def benign_decoy_stats(res):
-    """Recompute per-agent decoy tallies exactly as the detector does."""
-    cat = res.broker.catalog()
-    cfg = res.config.detector
-    totals = defaultdict(int)
-    decoys = defaultdict(int)
-    real_sums = {}
-    real_counts = defaultdict(int)
-    for e in sorted(res.events, key=event_sort_key):
-        if e.etype is not EventType.CLICK:
-            continue
-        kind, content = cat[e.ad_id]
-        observed = None
-        if real_counts[e.agent_id]:
-            s = real_sums[e.agent_id]
-            observed = tuple(x / real_counts[e.agent_id] for x in s)
-        if classify_decoy_click(kind, content, observed, real_counts[e.agent_id], cfg):
-            decoys[e.agent_id] += 1
-        totals[e.agent_id] += 1
-        if kind is AdKind.REAL:
-            if e.agent_id not in real_sums:
-                real_sums[e.agent_id] = [0.0] * len(content)
-            for i, x in enumerate(content):
-                real_sums[e.agent_id][i] += x
-            real_counts[e.agent_id] += 1
-    return totals, decoys
 
 
 def main() -> int:
@@ -56,14 +25,14 @@ def main() -> int:
     for seed in range(n_seeds):
         cfg = load_config("benign-only")
         cfg.seed = seed
-        res = run_scenario(cfg)
-        totals, decoys = benign_decoy_stats(res)
-        pooled_clicks += sum(totals.values())
-        pooled_decoys += sum(decoys.values())
-        flagged += sum(1 for r in res.reports.values() if r.flagged)
-        agents += len(res.reports)
-        rate = sum(decoys.values()) / max(1, sum(totals.values()))
-        print(f"seed {seed}: clicks={sum(totals.values())} decoy_rate={rate:.5f}")
+        reports = run_scenario(cfg).reports.values()
+        clicks = sum(r.total_clicks for r in reports)
+        decoys = sum(r.decoy_clicks for r in reports)
+        pooled_clicks += clicks
+        pooled_decoys += decoys
+        flagged += sum(1 for r in reports if r.flagged)
+        agents += len(reports)
+        print(f"seed {seed}: clicks={clicks} decoy_rate={decoys / max(1, clicks):.5f}")
     rate = pooled_decoys / pooled_clicks
     p0 = load_config("benign-only").detector.p0
     print()

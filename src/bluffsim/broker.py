@@ -124,7 +124,6 @@ class Broker:
         self.ledger = BillingLedger()
         self.rel = relevance_cache or RelevanceCache()
         self.overhead_micros = 0  # score value of real ads displaced by decoys
-        self.bluff_clicks: dict[str, int] = {}
         self._served: set = set()  # (agent_id, page_id, ad_id)
         self._day = 0
         self._rows: dict = {}  # profile -> ranking row, see rank_ads
@@ -321,7 +320,6 @@ class Broker:
                 f"click without a served impression: agent={agent_id} page={page_id} ad={ad_id}"
             )
         if ad is None or ad.kind is not AdKind.REAL:
-            self.bluff_clicks[ad_id] = self.bluff_clicks.get(ad_id, 0) + 1
             return 0
         self.quality[ad_id].clicks += 1
         if blacklist is not None and ip is not None and blacklist.check(ip, t):

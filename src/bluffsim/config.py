@@ -1,15 +1,23 @@
 """Scenario configuration: key tree, validation, presets, echo round-trip.
 
-Config files are YAML.  Unknown keys are hard errors (no silent typos) and
-every validation failure names the offending field path.  A file may start
-from a named preset via the ``preset`` key and override individual fields.
+Config files are YAML.  The key tree is the dataclass tree under
+``ScenarioConfig``: parsing, key checks and the echo all walk its fields and
+annotations, so a key exists exactly where a field does (the detector's three
+fusion weights are the one exception: a single ``fusion_weights`` list).
+Unknown keys are hard errors (no silent typos), every value must fit its
+field's annotation (nothing is truncated or converted from a string), and
+every failure names the offending field path.  A file may start from a named preset
+via the ``preset`` key and override individual fields.
 """
 
 from __future__ import annotations
 
 import copy
-from dataclasses import dataclass, field
+import functools
+import typing
+from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
+from typing import Optional
 
 import yaml
 
@@ -26,7 +34,7 @@ class CampaignSpec:
     advertiser_id: str
     bid_micros: int
     daily_budget_micros: int
-    targeting: tuple
+    targeting: tuple[float, ...]
 
     def validate(self, path: str, topic_dim: int) -> None:
         if not self.advertiser_id:
@@ -87,12 +95,12 @@ class ScenarioConfig:
     horizon_days: int = 7
     slots_per_page: int = 4
     topic_dim: int = DEFAULT_TOPIC_DIM
-    diurnal: tuple = FLAT_DIURNAL
+    diurnal: tuple[float, ...] = FLAT_DIURNAL
     mix: TrafficMix = field(default_factory=TrafficMix)
     behavior: BehaviorParams = field(default_factory=BehaviorParams)
     injection: InjectionConfig = field(default_factory=InjectionConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    campaigns: list = field(default_factory=default_campaigns)
+    campaigns: list[CampaignSpec] = field(default_factory=default_campaigns)
 
     def validate(self) -> None:
         if not 0 <= self.seed < (1 << 64):
@@ -121,169 +129,78 @@ class ScenarioConfig:
 
 # -- parsing ------------------------------------------------------------------
 
-_MIX_KEYS = {
-    "n_benign",
-    "n_random_bot",
-    "n_trained_bot",
-    "n_dictionary_bot",
-    "n_profile_harvester",
-    "n_view_bot",
-    "ip_sharing_factor",
-    "region_count",
-    "benign_topics",
-    "attack_topics",
-    "harvest_topics",
-    "view_bot_target",
-}
-_BEHAVIOR_KEYS = {
-    "base_ctr",
-    "accidental_rate",
-    "bot_click_rate",
-    "dictionary_skill",
-    "harvest_threshold",
-    "sessions_per_day",
-    "pages_per_session",
-    "bot_sessions_per_day",
-    "harvester_sessions_per_day",
-    "page_gap_ms",
-}
-_INJECTION_KEYS = {"rho", "type_b_share", "bluff_pool_size"}
-_DETECTOR_KEYS = {
-    "p0",
-    "pvalue_threshold",
-    "min_clicks",
-    "window_ms",
-    "click_cap",
-    "blacklist_ttl_ms",
-    "divergence_threshold",
-    "mismatch_epsilon",
-    "fusion_weights",
-    "fusion_threshold",
-}
-_CAMPAIGN_KEYS = {"advertiser_id", "bid_micros", "daily_budget_micros", "targeting"}
-_TOP_KEYS = {
-    "preset",
-    "seed",
-    "horizon_days",
-    "slots_per_page",
-    "topic_dim",
-    "diurnal",
-    "mix",
-    "behavior",
-    "injection",
-    "detector",
-    "campaigns",
-}
+# The detector's fusion weights are three fields but one YAML key.
+_FUSION_WEIGHTS = ("w_bluff", "w_thresh", "w_profile")
 
 
-def _reject_unknown(d: dict, known: set, path: str) -> None:
-    unknown = sorted(set(d) - known)
+@functools.cache
+def _field_types(cls) -> dict:
+    """Field name -> resolved annotation of a config dataclass."""
+    return typing.get_type_hints(cls)
+
+
+@functools.cache
+def _keys(cls) -> dict:
+    """YAML key -> type of a config dataclass, in field order."""
+    keys = {}
+    for f in fields(cls):
+        if cls is DetectorConfig and f.name in _FUSION_WEIGHTS:
+            keys["fusion_weights"] = tuple[float, float, float]
+        else:
+            keys[f.name] = _field_types(cls)[f.name]
+    return keys
+
+
+def _check(value, typ, path: str):
+    """Return ``value`` as a field annotated ``typ`` stores it, or raise a
+    ConfigError naming ``path``.  Nothing is cast: only an int given for a
+    float field becomes a float."""
+    if typ is int:
+        if isinstance(value, int) and not isinstance(value, bool):
+            return value
+        raise ConfigError(f"{path}: expected an integer, got {value!r}")
+    if typ is float:
+        if isinstance(value, (int, float)) and not isinstance(value, bool):
+            return float(value)
+        raise ConfigError(f"{path}: expected a number, got {value!r}")
+    if typ is str or typ == Optional[str]:
+        if value is None and typ is not str:
+            return None
+        if isinstance(value, str) and value:
+            return value
+        raise ConfigError(f"{path}: expected a non-empty string, got {value!r}")
+    if is_dataclass(typ):
+        return _build(typ, value, path)
+    if not isinstance(value, list):
+        raise ConfigError(f"{path}: expected a list, got {value!r}")
+    item_types = typing.get_args(typ)
+    if typing.get_origin(typ) is list:  # list of sections, every key required
+        return [_build(item_types[0], item, f"{path}[{i}]", required=True) for i, item in enumerate(value)]
+    if item_types[-1] is Ellipsis:
+        item_types = item_types[:1] * len(value)
+    elif len(value) != len(item_types):
+        raise ConfigError(f"{path}: expected a list of {len(item_types)}, got {value!r}")
+    return tuple(_check(v, t, f"{path}[{i}]") for i, (v, t) in enumerate(zip(value, item_types)))
+
+
+def _build(cls, data, path: str, required: bool = False):
+    """A ``cls`` from a YAML mapping: its defaults overridden key by key or,
+    with ``required``, every key given."""
+    label = path or "config"
+    if not isinstance(data, dict):
+        raise ConfigError(f"{label}: expected a mapping")
+    keys = _keys(cls)
+    unknown = sorted(set(data) - set(keys))
     if unknown:
-        raise ConfigError(f"{path}: unknown keys {unknown}")
-
-
-def _expect_mapping(value, path: str) -> dict:
-    if not isinstance(value, dict):
-        raise ConfigError(f"{path}: expected a mapping")
-    return value
-
-
-def _apply_scalars(obj, data: dict, path: str) -> None:
-    for key, value in data.items():
-        current = getattr(obj, key)
-        if isinstance(current, bool):
-            if not isinstance(value, bool):
-                raise ConfigError(f"{path}.{key}: expected a boolean")
-        elif isinstance(current, int) and not isinstance(current, bool):
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"{path}.{key}: expected an integer")
-        elif isinstance(current, float):
-            if not isinstance(value, (int, float)) or isinstance(value, bool):
-                raise ConfigError(f"{path}.{key}: expected a number")
-            value = float(value)
-        setattr(obj, key, value)
-
-
-def _build_config(data: dict) -> ScenarioConfig:
-    _reject_unknown(data, _TOP_KEYS, "config")
-    cfg = ScenarioConfig()
-    for key in ("seed", "horizon_days", "slots_per_page", "topic_dim"):
-        if key in data:
-            value = data[key]
-            if not isinstance(value, int) or isinstance(value, bool):
-                raise ConfigError(f"config.{key}: expected an integer")
-            setattr(cfg, key, value)
-    if "diurnal" in data:
-        value = data["diurnal"]
-        if not isinstance(value, list):
-            raise ConfigError("config.diurnal: expected a list of 24 numbers")
-        cfg.diurnal = tuple(float(w) for w in value)
-
-    if "mix" in data:
-        section = _expect_mapping(data["mix"], "mix")
-        _reject_unknown(section, _MIX_KEYS, "mix")
-        section = dict(section)
-        for range_key in ("attack_topics", "harvest_topics"):
-            if range_key in section:
-                rng = section[range_key]
-                if not isinstance(rng, list) or len(rng) != 2:
-                    raise ConfigError(f"mix.{range_key}: expected [lo, hi]")
-                section[range_key] = tuple(int(x) for x in rng)
-        target = section.pop("view_bot_target", None)
-        _apply_scalars(cfg.mix, section, "mix")
-        if target is not None:
-            if not isinstance(target, str):
-                raise ConfigError("mix.view_bot_target: expected an advertiser_id string")
-            cfg.mix.view_bot_target = target
-    if "behavior" in data:
-        section = _expect_mapping(data["behavior"], "behavior")
-        _reject_unknown(section, _BEHAVIOR_KEYS, "behavior")
-        _apply_scalars(cfg.behavior, section, "behavior")
-    if "injection" in data:
-        section = _expect_mapping(data["injection"], "injection")
-        _reject_unknown(section, _INJECTION_KEYS, "injection")
-        _apply_scalars(cfg.injection, section, "injection")
-    if "detector" in data:
-        section = dict(_expect_mapping(data["detector"], "detector"))
-        _reject_unknown(section, _DETECTOR_KEYS, "detector")
-        weights = section.pop("fusion_weights", None)
-        _apply_scalars(cfg.detector, section, "detector")
-        if weights is not None:
-            if not isinstance(weights, list) or len(weights) != 3:
-                raise ConfigError("detector.fusion_weights: expected [w_bluff, w_thresh, w_profile]")
-            cfg.detector.w_bluff = float(weights[0])
-            cfg.detector.w_thresh = float(weights[1])
-            cfg.detector.w_profile = float(weights[2])
-    if "campaigns" in data:
-        raw = data["campaigns"]
-        if not isinstance(raw, list):
-            raise ConfigError("campaigns: expected a list")
-        campaigns = []
-        for i, item in enumerate(raw):
-            path = f"campaigns[{i}]"
-            item = _expect_mapping(item, path)
-            _reject_unknown(item, _CAMPAIGN_KEYS, path)
-            for req in _CAMPAIGN_KEYS:
-                if req not in item:
-                    raise ConfigError(f"{path}: missing required key {req}")
-            campaigns.append(
-                CampaignSpec(
-                    advertiser_id=str(item["advertiser_id"]),
-                    bid_micros=int(item["bid_micros"]),
-                    daily_budget_micros=int(item["daily_budget_micros"]),
-                    targeting=tuple(float(w) for w in item["targeting"]),
-                )
-            )
-        cfg.campaigns = campaigns
-
-    # Range/invariant validation raises ConfigError with field paths.
-    try:
-        cfg.validate()
-    except ConfigError:
-        raise
-    except ValueError as exc:  # invariant checks from nested types
-        raise ConfigError(str(exc)) from exc
-    return cfg
+        raise ConfigError(f"{label}: unknown keys {unknown}")
+    if required:
+        for key in keys:
+            if key not in data:
+                raise ConfigError(f"{label}: missing required key {key}")
+    values = {key: _check(value, keys[key], f"{path}.{key}" if path else key) for key, value in data.items()}
+    if "fusion_weights" in values:
+        values.update(zip(_FUSION_WEIGHTS, values.pop("fusion_weights")))
+    return cls(**values)
 
 
 # -- presets -------------------------------------------------------------------
@@ -362,73 +279,37 @@ def load_config(source: str) -> ScenarioConfig:
                 f"unknown preset {preset_name!r}; available: {sorted(PRESETS)}"
             )
         data = _deep_merge(PRESETS[preset_name](), data)
-    return _build_config(data)
+    cfg = _build(ScenarioConfig, data, "")
+    # Range/invariant validation raises ConfigError with field paths.
+    try:
+        cfg.validate()
+    except ConfigError:
+        raise
+    except ValueError as exc:  # invariant checks from nested types
+        raise ConfigError(str(exc)) from exc
+    return cfg
 
 
 # -- echo ----------------------------------------------------------------------
 
 
+def _echo(value):
+    """A config value as plain YAML data, sections in field order."""
+    if is_dataclass(value):
+        return {
+            key: _echo(
+                [getattr(value, w) for w in _FUSION_WEIGHTS] if key == "fusion_weights" else getattr(value, key)
+            )
+            for key in _keys(type(value))
+        }
+    if isinstance(value, (list, tuple)):
+        return [_echo(v) for v in value]
+    return value
+
+
 def config_to_dict(cfg: ScenarioConfig) -> dict:
     """Fully-resolved config as a plain dict, same key tree as the input."""
-    return {
-        "seed": cfg.seed,
-        "horizon_days": cfg.horizon_days,
-        "slots_per_page": cfg.slots_per_page,
-        "topic_dim": cfg.topic_dim,
-        "diurnal": [float(w) for w in cfg.diurnal],
-        "mix": {
-            "n_benign": cfg.mix.n_benign,
-            "n_random_bot": cfg.mix.n_random_bot,
-            "n_trained_bot": cfg.mix.n_trained_bot,
-            "n_dictionary_bot": cfg.mix.n_dictionary_bot,
-            "n_profile_harvester": cfg.mix.n_profile_harvester,
-            "n_view_bot": cfg.mix.n_view_bot,
-            "ip_sharing_factor": cfg.mix.ip_sharing_factor,
-            "region_count": cfg.mix.region_count,
-            "benign_topics": cfg.mix.benign_topics,
-            "attack_topics": [cfg.mix.attack_topics[0], cfg.mix.attack_topics[1]],
-            "harvest_topics": [cfg.mix.harvest_topics[0], cfg.mix.harvest_topics[1]],
-            "view_bot_target": cfg.mix.view_bot_target,
-        },
-        "behavior": {
-            "base_ctr": cfg.behavior.base_ctr,
-            "accidental_rate": cfg.behavior.accidental_rate,
-            "bot_click_rate": cfg.behavior.bot_click_rate,
-            "dictionary_skill": cfg.behavior.dictionary_skill,
-            "harvest_threshold": cfg.behavior.harvest_threshold,
-            "sessions_per_day": cfg.behavior.sessions_per_day,
-            "pages_per_session": cfg.behavior.pages_per_session,
-            "bot_sessions_per_day": cfg.behavior.bot_sessions_per_day,
-            "harvester_sessions_per_day": cfg.behavior.harvester_sessions_per_day,
-            "page_gap_ms": cfg.behavior.page_gap_ms,
-        },
-        "injection": {
-            "rho": cfg.injection.rho,
-            "type_b_share": cfg.injection.type_b_share,
-            "bluff_pool_size": cfg.injection.bluff_pool_size,
-        },
-        "detector": {
-            "p0": cfg.detector.p0,
-            "pvalue_threshold": cfg.detector.pvalue_threshold,
-            "min_clicks": cfg.detector.min_clicks,
-            "window_ms": cfg.detector.window_ms,
-            "click_cap": cfg.detector.click_cap,
-            "blacklist_ttl_ms": cfg.detector.blacklist_ttl_ms,
-            "divergence_threshold": cfg.detector.divergence_threshold,
-            "mismatch_epsilon": cfg.detector.mismatch_epsilon,
-            "fusion_weights": [cfg.detector.w_bluff, cfg.detector.w_thresh, cfg.detector.w_profile],
-            "fusion_threshold": cfg.detector.fusion_threshold,
-        },
-        "campaigns": [
-            {
-                "advertiser_id": c.advertiser_id,
-                "bid_micros": c.bid_micros,
-                "daily_budget_micros": c.daily_budget_micros,
-                "targeting": [float(w) for w in c.targeting],
-            }
-            for c in cfg.campaigns
-        ],
-    }
+    return _echo(cfg)
 
 
 def dump_config(cfg: ScenarioConfig) -> str:

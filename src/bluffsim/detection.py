@@ -191,20 +191,6 @@ def classify_decoy_click(
     return True
 
 
-def max_window_count(times, window_ms: int) -> int:
-    """Maximum click count over any half-open window (t - W, t] anchored at a
-    click; two-pointer scan over sorted times."""
-    best = 0
-    left = 0
-    for i, t in enumerate(times):
-        while times[left] <= t - window_ms:
-            left += 1
-        width = i - left + 1
-        if width > best:
-            best = width
-    return best
-
-
 def threshold_score(count: int, cfg: DetectorConfig) -> float:
     """Score the busiest window: zero at or below the cap, linear above."""
     return min(1.0, max(0.0, (count - cfg.click_cap) / cfg.click_cap))
@@ -266,8 +252,11 @@ class SuspicionReport:
     max_window_clicks: int
     divergence: float
     # Evidence detail, not part of the verdict file schema: whether the
-    # agent's IP was on the blacklist at stream end (forces the flag).
+    # agent's IP was on the blacklist at stream end (forces the flag), and
+    # the click tally the decoy test ran on.
     blacklisted: bool = False
+    total_clicks: int = 0
+    decoy_clicks: int = 0
 
 
 @dataclass
@@ -385,5 +374,7 @@ def run_detection(
             max_window_clicks=c,
             divergence=div,
             blacklisted=blacklisted,
+            total_clicks=led.total_clicks,
+            decoy_clicks=led.decoy_clicks,
         )
     return reports

@@ -11,12 +11,12 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass
+from dataclasses import dataclass, is_dataclass
 from pathlib import Path
 from typing import Optional
 
 from .broker import Broker, Campaign, ConfigError
-from .config import ScenarioConfig, dump_config
+from .config import ScenarioConfig, _check, _field_types, dump_config
 from .detection import ReferenceProfile, run_detection
 from .domain import AdKind, AdUnit
 from .metrics import (
@@ -108,27 +108,20 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     config.validate()
     broker = build_broker(config)
     events, truth, ip_regions = run_traffic(config, broker)
+    return _evaluate(config, broker, events, truth, ip_regions)
+
+
+def _evaluate(config: ScenarioConfig, broker: Broker, events, truth, ip_regions) -> RunResult:
+    """Detection, confusion, AUC and economics over one traffic pass."""
     reference = ReferenceProfile.from_config(config.diurnal, config.mix.region_count)
-    reports = run_detection(
-        events, config.detector, broker.catalog(), ip_regions, reference
-    )
+    reports = run_detection(events, config.detector, broker.catalog(), ip_regions, reference)
     conf = confusion(reports, truth)
     try:
         _, auc = roc_points(reports, truth)
     except ValueError:
         auc = None  # single-class population (e.g. benign-only calibration)
     econ = economics(events, broker.ledger, reports, truth, broker.overhead_micros)
-    return RunResult(
-        config=config,
-        events=events,
-        truth=truth,
-        ip_regions=ip_regions,
-        reports=reports,
-        conf=conf,
-        econ=econ,
-        auc=auc,
-        broker=broker,
-    )
+    return RunResult(config, events, truth, ip_regions, reports, conf, econ, auc, broker)
 
 
 def _atomic_write(path: Path, write_fn) -> None:
@@ -231,52 +224,40 @@ def _resolve_parent(config: ScenarioConfig, dotted: str):
     leaf = parts[-1]
     if not hasattr(obj, leaf):
         raise ConfigError(f"sweep parameter path {dotted!r}: no field {leaf!r}")
-    current = getattr(obj, leaf)
-    if isinstance(current, bool) or not isinstance(current, (int, float)):
+    typ = _field_types(type(obj)).get(leaf) if is_dataclass(obj) else None
+    if typ not in (int, float):
         raise ConfigError(f"sweep parameter path {dotted!r} is not numeric")
-    return obj, leaf, type(current)
+    return obj, leaf, typ
 
 
 def sweep(config: ScenarioConfig, param: str, values, out_dir=None) -> list:
     """Run the pipeline once per value of a numeric config field.
 
-    Detector-side sweeps reuse a single traffic run and only repeat the
-    detection and metrics passes.  Returns one summary dict per value; when
-    ``out_dir`` is given, also writes a combined sweep_summary.csv.
+    Values are checked against the field's type as a config file's would be
+    (an int field takes integers only) before anything runs.  Detector-side
+    sweeps reuse a single traffic run and only repeat the detection and
+    metrics passes.  Returns one summary dict per value; when ``out_dir`` is
+    given, also writes a combined sweep_summary.csv.
     """
     config.validate()
-    _resolve_parent(config, param)  # fail fast on bad paths
+    _, _, typ = _resolve_parent(config, param)
+    values = [_check(value, typ, param) for value in values]
     detector_side = param.split(".", 1)[0] == "detector"
+    if detector_side:
+        broker = build_broker(config)
+        events, truth, ip_regions = run_traffic(config, broker)
 
     rows = []
-    if detector_side:
-        base = copy.deepcopy(config)
-        broker = build_broker(base)
-        events, truth, ip_regions = run_traffic(base, broker)
-        reference = ReferenceProfile.from_config(base.diurnal, base.mix.region_count)
-        catalog = broker.catalog()
-        for value in values:
-            cfg_v = copy.deepcopy(base)
-            parent, leaf, typ = _resolve_parent(cfg_v, param)
-            setattr(parent, leaf, typ(value))
-            cfg_v.validate()
-            reports = run_detection(events, cfg_v.detector, catalog, ip_regions, reference)
-            conf = confusion(reports, truth)
-            try:
-                _, auc = roc_points(reports, truth)
-            except ValueError:
-                auc = None
-            econ = economics(events, broker.ledger, reports, truth, broker.overhead_micros)
-            result = RunResult(cfg_v, events, truth, ip_regions, reports, conf, econ, auc, broker)
-            rows.append({"param": param, "value": typ(value), **result.summary_values()})
-    else:
-        for value in values:
-            cfg_v = copy.deepcopy(config)
-            parent, leaf, typ = _resolve_parent(cfg_v, param)
-            setattr(parent, leaf, typ(value))
-            cfg_v.validate()
+    for value in values:
+        cfg_v = copy.deepcopy(config)
+        parent, leaf, _ = _resolve_parent(cfg_v, param)
+        setattr(parent, leaf, value)
+        cfg_v.validate()
+        if detector_side:
+            result = _evaluate(cfg_v, broker, events, truth, ip_regions)
+        else:
             result = run_scenario(cfg_v)
-            rows.append({"param": param, "value": typ(value), **result.summary_values()})
+        rows.append({"param": param, "value": value, **result.summary_values()})
 
     if out_dir is not None:
         out = Path(out_dir)

@@ -72,13 +72,6 @@ class SplitMix64:
             if u < limit:
                 return u % n
 
-    def randint(self, a: int, b: int) -> int:
-        """Uniform integer in [a, b] inclusive."""
-        return a + self.randrange(b - a + 1)
-
-    def uniform(self, lo: float, hi: float) -> float:
-        return lo + (hi - lo) * self.random()
-
     def expovariate(self, mean: float) -> float:
         """Exponential variate with the given mean."""
         return -math.log(1.0 - self.random()) * mean
@@ -98,9 +91,6 @@ class SplitMix64:
             if total > lam:
                 return n
             n += 1
-
-    def choice(self, seq):
-        return seq[self.randrange(len(seq))]
 
     def weighted_index(self, weights) -> int:
         """Index drawn proportionally to the given non-negative weights."""

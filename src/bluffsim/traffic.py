@@ -89,8 +89,8 @@ class TrafficMix:
     ip_sharing_factor: int = 2  # bots per IP within a cohort
     region_count: int = 1
     benign_topics: int = 10  # benign personas mix two of topics [0, n)
-    attack_topics: tuple = (10, 12)  # half-open topic range for bot personas
-    harvest_topics: tuple = (12, 16)  # half-open topic range for harvesters
+    attack_topics: tuple[int, int] = (10, 12)  # half-open topic range for bot personas
+    harvest_topics: tuple[int, int] = (12, 16)  # half-open topic range for harvesters
     view_bot_target: Optional[str] = None  # advertiser whose audience view bots fake
 
     def total(self) -> int:

@@ -1,6 +1,8 @@
 import pytest
 
 from bluffsim.config import load_config
+from bluffsim.detection import DetectorConfig, run_detection
+from bluffsim.domain import AdKind, Event, EventType, basis_vector
 from bluffsim.pipeline import run_scenario
 
 
@@ -14,6 +16,18 @@ def small_config(**overrides):
     for key, value in overrides.items():
         setattr(cfg, key, value)
     return cfg
+
+
+def one_ip_max_window(times, window_ms):
+    """The busiest-window click count ``run_detection`` reports for one
+    agent on one IP clicking one real ad at each of ``times``."""
+    events = []
+    for page_id, t in enumerate(times):
+        for etype in (EventType.IMPRESSION, EventType.CLICK):
+            events.append(Event(t, etype, "u", "10.0.0.1", page_id, "ad", AdKind.REAL, 0))
+    catalog = {"ad": (AdKind.REAL, basis_vector(16, 0))}
+    reports = run_detection(events, DetectorConfig(window_ms=window_ms), catalog)
+    return reports["u"].max_window_clicks if reports else 0
 
 
 @pytest.fixture(scope="session")

@@ -11,11 +11,12 @@ import time
 from fractions import Fraction
 
 from bluffsim.config import load_config
-from bluffsim.detection import binom_tail_pvalue, max_window_count
+from bluffsim.detection import binom_tail_pvalue
 from bluffsim.domain import AdKind, AgentKind, EventType
 from bluffsim.metrics import mean_slate_rank, precision, recall, roc_points
 from bluffsim.pipeline import run, run_scenario
 from bluffsim.rng import SplitMix64
+from conftest import one_ip_max_window
 
 
 def ok(name, detail=""):
@@ -74,7 +75,7 @@ def test_criterion_2_window_scan_oracle():
         brute = 0
         for t in times:
             brute = max(brute, sum(1 for u in times if t - window < u <= t))
-        assert max_window_count(times, window) == brute
+        assert one_ip_max_window(times, window) == brute
     ok("2 window-scan oracle", "(500 random streams)")
 
 

@@ -1,3 +1,6 @@
+import hashlib
+import re
+
 import pytest
 import yaml
 
@@ -80,6 +83,55 @@ def test_campaign_validation(tmp_path):
         load_config(write_config(tmp_path, data))
 
 
+def campaign(**overrides):
+    spec = {
+        "advertiser_id": "a",
+        "bid_micros": 100,
+        "daily_budget_micros": 1000,
+        "targeting": [1.0] + [0.0] * 15,
+    }
+    spec.update(overrides)
+    return spec
+
+
+# Each value is checked against its field's annotation, never cast.
+MALFORMED = [
+    ("campaigns[0].bid_micros", {"campaigns": [campaign(bid_micros=1.7)]}),
+    ("campaigns[0].daily_budget_micros", {"campaigns": [campaign(daily_budget_micros=2.9e6)]}),
+    ("campaigns[0].advertiser_id", {"campaigns": [campaign(advertiser_id=None)]}),
+    ("campaigns[0].targeting", {"campaigns": [campaign(targeting="uniform")]}),
+    ("mix.attack_topics[0]", {"mix": {"attack_topics": [10.9, 12]}}),
+    ("mix.attack_topics[0]", {"mix": {"attack_topics": ["ten", 12]}}),
+    ("mix.harvest_topics", {"mix": {"harvest_topics": [12, 14, 16]}}),
+    ("diurnal[3]", {"diurnal": [1.0, 1.0, 1.0, "high"] + [1.0] * 20}),
+    ("detector.fusion_weights[1]", {"detector": {"fusion_weights": [0.6, "x", 0.15]}}),
+    ("detector.fusion_weights", {"detector": {"fusion_weights": [0.6, 0.4]}}),
+    ("detector.min_clicks", {"detector": {"min_clicks": 2.0}}),
+]
+
+
+@pytest.mark.parametrize("path,data", MALFORMED, ids=[path for path, _ in MALFORMED])
+def test_malformed_value_names_its_path(tmp_path, capsys, path, data):
+    source = write_config(tmp_path, data)
+    with pytest.raises(ConfigError, match=re.escape(path)):
+        load_config(source)
+    assert main(["run", "--config", source, "--dry-run"]) == 2
+    assert path in capsys.readouterr().err
+
+
+def test_numbers_and_null_load_as_their_fields(tmp_path):
+    cfg = load_config(write_config(tmp_path, {
+        "injection": {"rho": 0},
+        "mix": {"view_bot_target": None},
+        "detector": {"fusion_weights": [1, 0, 0]},
+        "campaigns": [campaign(targeting=[1] + [0] * 15)],
+    }))
+    assert cfg.injection.rho == 0.0 and isinstance(cfg.injection.rho, float)
+    assert cfg.mix.view_bot_target is None
+    assert (cfg.detector.w_bluff, cfg.detector.w_thresh, cfg.detector.w_profile) == (1.0, 0.0, 0.0)
+    assert all(isinstance(w, float) for w in cfg.campaigns[0].targeting)
+
+
 # -- presets ---------------------------------------------------------------------
 
 
@@ -129,14 +181,29 @@ def test_missing_source_rejected():
 
 # -- echo round trip ---------------------------------------------------------------
 
+# sha256 of each preset's echo, as loaded; pins the key order and formatting.
+PRESET_ECHO_SHA256 = {
+    "default-attack": "70a30601393249d62c8f4a2094cb184450ae50edcac9a39d02e0f1a232fe3c87",
+    "benign-only": "cdd5fbeb30c6f31e8f37b3f96fa0f77e30f5ffdd6977e4bd9c12b20ed8bbe513",
+    "dictionary-attack": "9070d49be373438758596b25bf7ce7b2266aae219b2e184c0398f4884b988f6d",
+    "baseline-no-bluff": "9662a9bbe8bbe22b0c6eb10d72a24640ca69a81b3969cff7cf7162887e6786b7",
+}
+
+
+@pytest.mark.parametrize("name", sorted(PRESETS))
+def test_preset_echo_matches_pinned_digest(name):
+    echo = dump_config(load_config(name))
+    assert hashlib.sha256(echo.encode()).hexdigest() == PRESET_ECHO_SHA256[name]
+
 
 def test_config_echo_round_trips(tmp_path):
-    cfg = load_config("dictionary-attack")
-    cfg.seed = 123
-    path = tmp_path / "echo.yaml"
-    path.write_text(dump_config(cfg))
-    again = load_config(str(path))
-    assert config_to_dict(again) == config_to_dict(cfg)
+    for name in PRESETS:
+        cfg = load_config(name)
+        cfg.seed = 123
+        path = tmp_path / f"{name}.yaml"
+        path.write_text(dump_config(cfg))
+        again = load_config(str(path))
+        assert config_to_dict(again) == config_to_dict(cfg), name
 
 
 # -- CLI -------------------------------------------------------------------------
@@ -218,6 +285,17 @@ def test_sweep_recall_non_increasing_in_fusion_threshold():
     rows = sweep(cfg, "detector.fusion_threshold", [0.2, 0.4, 0.6, 0.8])
     recalls = [row["recall"] for row in rows]
     assert all(a >= b for a, b in zip(recalls, recalls[1:]))
+
+
+@pytest.mark.parametrize("param,value", [("detector.min_clicks", 2.9), ("injection.bluff_pool_size", 1.5)])
+def test_sweep_rejects_non_integral_value_for_int_field(tmp_path, param, value):
+    with pytest.raises(ConfigError, match=re.escape(param)):
+        sweep(small_config(), param, [3, value])
+    assert main([
+        "sweep", "--config", "default-attack", "--param", param,
+        "--values", f"3,{value}", "--out", str(tmp_path),
+    ]) == 2
+    assert not (tmp_path / "sweep_summary.csv").exists()
 
 
 def test_sweep_detector_side_reuses_traffic():

@@ -14,7 +14,6 @@ from bluffsim.detection import (
     classify_decoy_click,
     fuse,
     jensen_shannon,
-    max_window_count,
     profile_divergence,
     run_detection,
     score_bluff,
@@ -27,6 +26,7 @@ from bluffsim.domain import (
     EventType,
     basis_vector,
 )
+from conftest import one_ip_max_window
 
 D = 16
 
@@ -196,7 +196,7 @@ def brute_force_max_window(times, window_ms):
 def test_window_scan_one_over_cap():
     cfg = DetectorConfig(click_cap=10)
     times = list(range(0, 55_000, 5_000))  # 11 clicks within 60s
-    c = max_window_count(times, cfg.window_ms)
+    c = one_ip_max_window(times, cfg.window_ms)
     assert c == 11
     assert math.isclose(threshold_score(c, cfg), 0.1, rel_tol=1e-12)
 
@@ -204,7 +204,7 @@ def test_window_scan_one_over_cap():
 def test_window_scan_boundary_is_exclusive():
     cfg = DetectorConfig(click_cap=10)
     times = list(range(0, 50_000, 5_000))  # exactly 10 clicks
-    c = max_window_count(times, cfg.window_ms)
+    c = one_ip_max_window(times, cfg.window_ms)
     assert c == 10
     assert threshold_score(c, cfg) == 0.0
 
@@ -213,7 +213,7 @@ def test_window_scan_documented_trace():
     # Clicks at 0, 30s, 59s, 61s, 90s with W=60s: best window holds 3.
     cfg = DetectorConfig(click_cap=2)
     times = [0, 30_000, 59_000, 61_000, 90_000]
-    c = max_window_count(times, 60_000)
+    c = one_ip_max_window(times, 60_000)
     assert c == brute_force_max_window(times, 60_000) == 3
     assert math.isclose(threshold_score(c, cfg), 0.5, rel_tol=1e-12)
 
@@ -224,7 +224,7 @@ def test_window_scan_documented_trace():
 )
 def test_window_scan_equals_brute_force(times, window):
     times = sorted(times)
-    assert max_window_count(times, window) == brute_force_max_window(times, window)
+    assert one_ip_max_window(times, window) == brute_force_max_window(times, window)
 
 
 # -- blacklist -------------------------------------------------------------------
@@ -383,6 +383,7 @@ def test_run_detection_benign_like_agent_not_flagged():
     r = reports["u1"]
     assert not r.flagged
     assert r.s_bluff == 0.0 and r.fused < 0.25
+    assert (r.total_clicks, r.decoy_clicks) == (100, 0)
 
 
 def test_run_detection_decoy_hammerer_flagged():
@@ -397,6 +398,7 @@ def test_run_detection_decoy_hammerer_flagged():
     reports = run_detection(events, DetectorConfig(), cat)
     assert reports["bot"].flagged
     assert reports["bot"].s_bluff == 1.0
+    assert (reports["bot"].total_clicks, reports["bot"].decoy_clicks) == (40, 20)
 
 
 def test_run_detection_permutation_stable():
