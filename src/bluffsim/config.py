@@ -125,6 +125,11 @@ class ScenarioConfig:
             if c.advertiser_id in seen:
                 raise ConfigError(f"campaigns[{i}]: duplicate advertiser_id {c.advertiser_id}")
             seen.add(c.advertiser_id)
+        target = self.mix.view_bot_target
+        if target is not None and target not in seen:
+            raise ConfigError(f"mix.view_bot_target {target!r} names no campaign")
+        if self.mix.n_view_bot > 0 and not seen:
+            raise ConfigError("mix.n_view_bot: view bots require at least one campaign to target")
 
 
 # -- parsing ------------------------------------------------------------------

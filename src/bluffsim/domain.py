@@ -15,7 +15,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, NamedTuple, Optional, Sequence
 
 DEFAULT_TOPIC_DIM = 16
 
@@ -97,14 +97,16 @@ class RelevanceCache:
     and every lookup hashes both vectors.  Profiles and ad vectors are static
     for the life of a run.  Ranking does not look up each (profile, ad) pair
     per page: ``Broker.rank_ads`` calls ``get`` once per pair to build a
-    per-profile row and reuses the row, so in the serving loop the cache
-    mostly answers decoy construction and click decisions.
+    per-profile row and reuses the row, and click decisions go through
+    ``content_relevance``, which keeps a row per profile too; in the serving
+    loop the cache mostly answers decoy construction and row misses.
     """
 
-    __slots__ = ("_cache",)
+    __slots__ = ("_cache", "_content_rows")
 
     def __init__(self):
         self._cache: dict = {}
+        self._content_rows: dict = {}  # profile -> {ad_id: relevance to its content}
 
     def get(self, a: TopicVector, b: TopicVector) -> float:
         key = (a, b)
@@ -113,6 +115,26 @@ class RelevanceCache:
             r = relevance(a, b)
             self._cache[key] = r
         return r
+
+    def content_relevance(self, profile: TopicVector, ads) -> list:
+        """Relevance of each ad's content to ``profile``, in order.
+
+        The profile is hashed once per call; each ad is then looked up by
+        ad_id in that profile's row, filled through ``get`` on a miss.  Rows
+        grow with distinct profiles, not with calls, and assume each ad_id
+        names one content vector, as within one broker (see
+        ``Broker.catalog``).
+        """
+        row = self._content_rows.get(profile)
+        if row is None:
+            row = self._content_rows[profile] = {}
+        out = []
+        for ad in ads:
+            r = row.get(ad.ad_id)
+            if r is None:
+                r = row[ad.ad_id] = self.get(profile, ad.content)
+            out.append(r)
+        return out
 
 
 @dataclass(frozen=True)
@@ -163,8 +185,11 @@ class Agent:
     index: int  # stable numeric key used to derive per-agent RNG substreams
 
 
-@dataclass(frozen=True)
-class Event:
+class Event(NamedTuple):
+    """One impression or click.  A named tuple rather than a dataclass: a run
+    makes one per impression and click, and a tuple is built in one step and
+    carries no per-instance ``__dict__``."""
+
     t: int
     etype: EventType
     agent_id: str

@@ -140,6 +140,15 @@ def _fmt(value) -> str:
     return str(value)
 
 
+class _JsonStrings(dict):
+    """str -> its JSON literal, as ``json.dumps`` writes it by default
+    (quoted, ASCII-escaped), computed once per distinct string."""
+
+    def __missing__(self, text: str) -> str:
+        literal = self[text] = json.dumps(text)
+        return literal
+
+
 def write_outputs(result: RunResult, out_dir) -> RunOutputs:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
@@ -150,18 +159,15 @@ def write_outputs(result: RunResult, out_dir) -> RunOutputs:
     config_path = out / "config.yaml"
 
     def write_events(fh):
-        for e in result.events:
-            record = {
-                "t": e.t,
-                "etype": e.etype.value,
-                "agent_id": e.agent_id,
-                "ip": e.ip,
-                "page_id": e.page_id,
-                "ad_id": e.ad_id,
-                "ad_kind": e.ad_kind.value,
-                "slot": e.slot,
-            }
-            fh.write(json.dumps(record, separators=(",", ":")) + "\n")
+        # The line json.dumps(record, separators=(",", ":")) would give, built
+        # directly: ints as written, strings (enum members by their value)
+        # as json.dumps literals, memoised since ids repeat.
+        q = _JsonStrings()
+        for t, etype, agent_id, ip, page_id, ad_id, ad_kind, slot in result.events:
+            fh.write(
+                f'{{"t":{t},"etype":{q[etype._value_]},"agent_id":{q[agent_id]},"ip":{q[ip]},'
+                f'"page_id":{page_id},"ad_id":{q[ad_id]},"ad_kind":{q[ad_kind._value_]},"slot":{slot}}}\n'
+            )
 
     def write_truth(fh):
         fh.write("agent_id,kind\n")

@@ -23,7 +23,11 @@ STREAM_POPULATION = 4
 
 
 def _mix(z: int) -> int:
-    """SplitMix64 output function (finalizer)."""
+    """SplitMix64 output function (finalizer).
+
+    ``next_u64`` and ``random`` repeat these three lines inline, on a state
+    already below 2**64, to save a Python call per draw.
+    """
     z &= MASK64
     z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
     z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
@@ -55,12 +59,18 @@ class SplitMix64:
         return cls(s)
 
     def next_u64(self) -> int:
-        self._state = (self._state + GOLDEN) & MASK64
-        return _mix(self._state)
+        z = self._state = (self._state + GOLDEN) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return z ^ (z >> 31)
 
     def random(self) -> float:
-        """Float in [0, 1) with 53 bits of precision."""
-        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+        """Float in [0, 1) with 53 bits of precision: the top 53 bits of
+        ``next_u64``, whose body is repeated here to save a call."""
+        z = self._state = (self._state + GOLDEN) & MASK64
+        z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & MASK64
+        z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & MASK64
+        return ((z ^ (z >> 31)) >> 11) * (1.0 / (1 << 53))
 
     def randrange(self, n: int) -> int:
         """Uniform integer in [0, n), bias-free via rejection."""

@@ -296,9 +296,11 @@ def decide_clicks(
     """
     clicked: set[int] = set()
     kind = agent.kind
+    if kind is AgentKind.BENIGN or kind is AgentKind.PROFILE_HARVESTER:
+        content_rel = rel.content_relevance(agent.profile, served)
     for slot, ad in enumerate(served):
         if kind is AgentKind.BENIGN:
-            p = benign_click_prob(rel.get(agent.profile, ad.content), behavior)
+            p = benign_click_prob(content_rel[slot], behavior)
             if rng.random() < p:
                 clicked.add(slot)
         elif kind in (AgentKind.RANDOM_BOT, AgentKind.TRAINED_BOT):
@@ -316,7 +318,7 @@ def decide_clicks(
             if rng.random() < p:
                 clicked.add(slot)
         elif kind is AgentKind.PROFILE_HARVESTER:
-            if rel.get(agent.profile, ad.content) >= behavior.harvest_threshold:
+            if content_rel[slot] >= behavior.harvest_threshold:
                 if rng.random() < behavior.bot_click_rate:
                     clicked.add(slot)
         elif kind is AgentKind.VIEW_BOT:

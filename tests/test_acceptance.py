@@ -10,6 +10,8 @@ import math
 import time
 from fractions import Fraction
 
+import pytest
+
 from bluffsim.config import load_config
 from bluffsim.detection import binom_tail_pvalue
 from bluffsim.domain import AdKind, AgentKind, EventType
@@ -122,25 +124,39 @@ def sha256(path):
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def test_criterion_4_determinism(tmp_path):
-    durations = []
-    digests = []
+@pytest.fixture(scope="module")
+def seed42_runs(tmp_path_factory):
+    """Two 7-day default-attack runs at seed 42: (wall seconds, digests of
+    events, truth and verdicts) per run."""
+    out = tmp_path_factory.mktemp("determinism")
+    runs = []
     for sub in ("a", "b"):
         cfg = load_config("default-attack")
         cfg.seed = 42
         t0 = time.monotonic()
-        outputs = run(cfg, tmp_path / sub)
-        durations.append(time.monotonic() - t0)
-        digests.append(
-            (
-                sha256(outputs.events_path),
-                sha256(outputs.truth_path),
-                sha256(outputs.verdicts_path),
-            )
+        outputs = run(cfg, out / sub)
+        duration = time.monotonic() - t0
+        runs.append(
+            (duration, (sha256(outputs.events_path), sha256(outputs.truth_path), sha256(outputs.verdicts_path)))
         )
-    assert digests[0] == digests[1]
+    return runs
+
+
+def test_criterion_4_determinism(seed42_runs):
+    (_, first), (_, second) = seed42_runs
+    assert first == second
+    ok("4 determinism", "(sha256 equal)")
+
+
+def test_criterion_4_run_time(seed42_runs):
+    """Each 7-day default-attack run finishes in under 10 s of wall time.
+
+    Unlike the other criteria, the outcome depends on the host: the bound is
+    wall time, so a slow or loaded machine can fail it with correct code.
+    """
+    durations = [duration for duration, _ in seed42_runs]
     assert all(d < 10.0 for d in durations)
-    ok("4 determinism", f"(sha256 equal; runs {durations[0]:.1f}s / {durations[1]:.1f}s)")
+    ok("4 run time", f"(runs {durations[0]:.1f}s / {durations[1]:.1f}s)")
 
 
 # -- 5. separation -------------------------------------------------------------------

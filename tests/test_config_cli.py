@@ -94,7 +94,8 @@ def campaign(**overrides):
     return spec
 
 
-# Each value is checked against its field's annotation, never cast.
+# Each value is checked against its field's annotation, never cast, and
+# against the fields it refers to.
 MALFORMED = [
     ("campaigns[0].bid_micros", {"campaigns": [campaign(bid_micros=1.7)]}),
     ("campaigns[0].daily_budget_micros", {"campaigns": [campaign(daily_budget_micros=2.9e6)]}),
@@ -107,6 +108,9 @@ MALFORMED = [
     ("detector.fusion_weights[1]", {"detector": {"fusion_weights": [0.6, "x", 0.15]}}),
     ("detector.fusion_weights", {"detector": {"fusion_weights": [0.6, 0.4]}}),
     ("detector.min_clicks", {"detector": {"min_clicks": 2.0}}),
+    # Cross-field: view bots need a campaign, and their target must name one.
+    ("mix.view_bot_target", {"mix": {"n_view_bot": 2, "view_bot_target": "nobody"}}),
+    ("mix.n_view_bot", {"campaigns": [], "mix": {"n_view_bot": 2}}),
 ]
 
 

@@ -1,6 +1,6 @@
 from hypothesis import given, strategies as st
 
-from bluffsim.rng import MASK64, SplitMix64, _mix
+from bluffsim.rng import GOLDEN, MASK64, SplitMix64, _mix
 
 
 def test_reference_vector_from_state_zero():
@@ -82,3 +82,48 @@ def test_weighted_index_follows_weights():
         counts[rng.weighted_index(weights)] += 1
     assert counts[1] == 0
     assert abs(counts[2] / 20_000 - 0.75) < 0.02
+
+
+class TwoCallReference:
+    """SplitMix64 as written before the finaliser was inlined: every draw
+    advances the state and calls ``_mix`` on it."""
+
+    def __init__(self, state):
+        self.state = state & MASK64
+
+    def next_u64(self):
+        self.state = (self.state + GOLDEN) & MASK64
+        return _mix(self.state)
+
+    def random(self):
+        return (self.next_u64() >> 11) * (1.0 / (1 << 53))
+
+    def randrange(self, n):
+        limit = ((1 << 64) // n) * n
+        while True:
+            u = self.next_u64()
+            if u < limit:
+                return u % n
+
+
+_DRAWS = st.lists(
+    st.one_of(st.just("next_u64"), st.just("random"), st.integers(min_value=1, max_value=1 << 64)),
+    max_size=40,
+)
+
+
+@given(st.integers(min_value=0, max_value=1 << 70), _DRAWS)
+def test_draws_equal_two_call_reference(state, draws):
+    rng, ref = SplitMix64(state), TwoCallReference(state)
+    for draw in draws:
+        if isinstance(draw, int):
+            assert rng.randrange(draw) == ref.randrange(draw)
+        else:
+            assert getattr(rng, draw)() == getattr(ref, draw)()
+
+
+@given(st.integers(min_value=0, max_value=MASK64), st.integers(0, 8), st.integers(min_value=0, max_value=1 << 40))
+def test_for_stream_equals_folded_mix(seed, stream, instance):
+    state = _mix(_mix(_mix(seed) ^ (stream * GOLDEN & MASK64)) ^ (instance * GOLDEN & MASK64))
+    rng, ref = SplitMix64.for_stream(seed, stream, instance), TwoCallReference(state)
+    assert [rng.next_u64() for _ in range(4)] == [ref.next_u64() for _ in range(4)]

@@ -1,6 +1,8 @@
+import functools
 import math
 
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy import stats
 
 from bluffsim.broker import ConfigError
@@ -14,9 +16,10 @@ from bluffsim.domain import (
     EventType,
     RelevanceCache,
     basis_vector,
+    relevance,
     validate_event_stream,
 )
-from bluffsim.pipeline import run_scenario
+from bluffsim.pipeline import build_broker, run_scenario
 from bluffsim.rng import SplitMix64
 from bluffsim.traffic import (
     BehaviorParams,
@@ -142,6 +145,63 @@ def test_unknown_agent_kind_rejected():
     agent = Agent("x", FakeKind(), basis_vector(D, 0), "10.0.0.1", 0, 0)
     with pytest.raises(ValueError):
         decide_clicks(agent, [real_for(0)], BehaviorParams(), SplitMix64.for_stream(1, 1), RelevanceCache())
+
+
+def reference_clicks(agent, slate, behavior, rng):
+    """Brute force for benign and harvester agents: relevance recomputed
+    from the ad's content for every served ad, no cache."""
+    clicked = set()
+    for slot, ad in enumerate(slate):
+        r = relevance(agent.profile, ad.content)
+        if agent.kind is AgentKind.BENIGN:
+            if rng.random() < benign_click_prob(r, behavior):
+                clicked.add(slot)
+        elif r >= behavior.harvest_threshold and rng.random() < behavior.bot_click_rate:
+            clicked.add(slot)
+    return clicked
+
+
+@functools.cache
+def click_test_world():
+    """A broker and a roster of benign users and harvesters."""
+    cfg = small_config()
+    mix = TrafficMix(n_benign=12, n_random_bot=0, n_trained_bot=0, n_profile_harvester=12)
+    agents, _ = build_population(mix, cfg.topic_dim, 5)
+    return build_broker(cfg), agents
+
+
+# A slate entry: a real ad by index, or a decoy of either type drawn with a seed.
+_SLATE = st.lists(
+    st.tuples(st.sampled_from(("real", "bluff_a", "bluff_b")), st.integers(0, 1 << 32)),
+    min_size=1,
+    max_size=8,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    pages=st.lists(st.tuples(st.integers(0, 23), _SLATE, st.integers(0, 1 << 32)), min_size=1, max_size=6),
+    base_ctr=st.floats(0.3, 1.0),
+    harvest_threshold=st.floats(0.0, 1.0),
+)
+def test_decide_clicks_matches_brute_force_reference(pages, base_ctr, harvest_threshold):
+    broker, agents = click_test_world()
+    reals = sorted(ad_id for ad_id, ad in broker.ads.items() if ad.kind is AdKind.REAL)
+    b = BehaviorParams(base_ctr=base_ctr, accidental_rate=0.1, harvest_threshold=harvest_threshold, bot_click_rate=0.7)
+    rel = RelevanceCache()  # shared across pages and profiles, as in a run
+    for who, entries, click_seed in pages:
+        agent = agents[who]
+        slate = []
+        for kind, seed in entries:
+            draw = SplitMix64(seed)
+            if kind == "real":
+                slate.append(broker.ads[reals[draw.randrange(len(reals))]])
+            elif kind == "bluff_a":
+                slate.append(broker.make_bluff_a(agent.profile, draw))
+            else:
+                slate.append(broker.make_bluff_b(draw))
+        got = decide_clicks(agent, slate, b, SplitMix64(click_seed), rel)
+        assert got == reference_clicks(agent, slate, b, SplitMix64(click_seed))
 
 
 # -- population -----------------------------------------------------------------
