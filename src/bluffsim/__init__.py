@@ -16,8 +16,10 @@ from .detection import (
     DetectorConfig,
     ReferenceProfile,
     SuspicionReport,
+    accumulate_evidence,
     binom_tail_pvalue,
     run_detection,
+    score_evidence,
 )
 from .domain import (
     AdKind,
@@ -32,6 +34,7 @@ from .domain import (
 from .metrics import (
     Confusion,
     EconomicSummary,
+    bluff_impression_share,
     confusion,
     economics,
     f1,

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -21,6 +22,7 @@ from .domain import (
     AdKind,
     EventType,
     event_sort_key,
+    in_event_order,
     relevance,
     validate_event_stream,
 )
@@ -259,9 +261,21 @@ class SuspicionReport:
     decoy_clicks: int = 0
 
 
+# The detector fields that shape the evidence of one scan; the other fields
+# are read only when the evidence is scored.  ``min_clicks`` is read by both.
+ACCUMULATION_FIELDS = ("window_ms", "click_cap", "blacklist_ttl_ms", "min_clicks", "mismatch_epsilon")
+
+
+def accumulation_settings(cfg: DetectorConfig) -> tuple:
+    """The values of ``ACCUMULATION_FIELDS`` in ``cfg``, in that order."""
+    return tuple(getattr(cfg, name) for name in ACCUMULATION_FIELDS)
+
+
 @dataclass
-class _AgentLedger:
-    ip: str = ""
+class AgentEvidence:
+    """One agent's click tallies after a scan of the stream."""
+
+    ip: str = ""  # the agent's IP at its last event
     total_clicks: int = 0
     decoy_clicks: int = 0
     real_clicks: int = 0
@@ -275,27 +289,42 @@ class _AgentLedger:
         return tuple(x / self.real_clicks for x in self.real_content_sum)
 
 
-def run_detection(
+@dataclass
+class Evidence:
+    """What one scan of an event stream found, before any scoring.
+
+    ``agents`` is in order of each agent's first event; ``window_max`` holds
+    each clicking IP's busiest-window count and ``blacklisted`` the IPs still
+    on the blacklist at stream end.  ``settings`` records the
+    ``accumulation_settings`` the scan ran with.
+    """
+
+    agents: dict
+    window_max: dict
+    blacklisted: frozenset
+    settings: tuple
+
+
+def accumulate_evidence(
     events,
     cfg: DetectorConfig,
     catalog: dict,
-    ip_regions: Optional[dict] = None,
-    reference: Optional[ReferenceProfile] = None,
-) -> dict:
-    """Single pass over the event stream, then a scoring pass per agent.
+    ip_regions: Optional[dict],
+    reference: ReferenceProfile,
+) -> Evidence:
+    """Validate the event stream and scan it once into per-agent and per-IP
+    evidence.
 
-    ``catalog`` maps ad_id -> (AdKind, content vector); it is the broker's
-    own inventory knowledge.  ``ip_regions`` maps IP -> region bucket
-    (broker-side geolocation).  Pure function of its inputs; ground-truth
-    agent kinds are deliberately not an input.
-
-    IPs whose sliding-window click count exceeds the cap are added to the
-    blacklist as the stream is scanned (the continually-updated list);
-    agents on a still-active blacklist entry at stream end are flagged
-    regardless of their fused score.
+    ``events`` is sorted into ``event_sort_key`` order only when it is out of
+    order, into a new list; the caller's list is never modified.  IPs whose
+    sliding-window click count exceeds the cap are added to the blacklist as
+    the stream is scanned (the continually-updated list).  Region counts get
+    one bin per region of ``reference``.
     """
     cfg.validate()
-    ordered = sorted(events, key=event_sort_key)
+    if not isinstance(events, Sequence):
+        events = list(events)  # the order check must not consume an iterator
+    ordered = events if in_event_order(events) else sorted(events, key=event_sort_key)
     violations = validate_event_stream(ordered)
     if violations:
         first = violations[0]
@@ -303,42 +332,49 @@ def run_detection(
             f"event stream failed validation ({len(violations)} violations; "
             f"first at index {first.index}: {first.reason})"
         )
-    if reference is None:
-        region_count = (max(ip_regions.values()) + 1) if ip_regions else 1
-        reference = ReferenceProfile.from_config((1.0,) * HOURS, region_count)
     n_regions = len(reference.regions)
+    window_ms = cfg.window_ms
+    click_cap = cfg.click_cap
+    min_clicks = cfg.min_clicks
+    click = EventType.CLICK
 
-    ledgers: dict[str, _AgentLedger] = {}
+    ledgers: dict[str, AgentEvidence] = {}
     ip_windows: dict[str, deque] = {}
     ip_max: dict[str, int] = {}
     blacklist = Blacklist(cfg.blacklist_ttl_ms)
     t_end = ordered[-1].t if ordered else 0
 
-    for e in ordered:
-        led = ledgers.get(e.agent_id)
+    for t, etype, agent_id, ip, _, ad_id, _, _ in ordered:
+        led = ledgers.get(agent_id)
         if led is None:
-            led = ledgers[e.agent_id] = _AgentLedger(ip=e.ip, region_counts=[0] * n_regions)
-        led.ip = e.ip
-        if e.etype is not EventType.CLICK:
+            led = ledgers[agent_id] = AgentEvidence(ip=ip, region_counts=[0] * n_regions)
+        led.ip = ip
+        if etype is not click:
             continue
 
-        win = ip_windows.get(e.ip)
+        win = ip_windows.get(ip)
         if win is None:
-            win = ip_windows[e.ip] = deque()
-        win.append(e.t)
-        while win[0] <= e.t - cfg.window_ms:
+            win = ip_windows[ip] = deque()
+        win.append(t)
+        while win[0] <= t - window_ms:
             win.popleft()
         count = len(win)
-        if count > ip_max.get(e.ip, 0):
-            ip_max[e.ip] = count
-        if count > cfg.click_cap:
-            blacklist.add(e.ip, e.t)
+        if count > ip_max.get(ip, 0):
+            ip_max[ip] = count
+        if count > click_cap:
+            blacklist.add(ip, t)
 
-        entry = catalog.get(e.ad_id)
+        entry = catalog.get(ad_id)
         if entry is None:
-            raise ValueError(f"clicked ad_id {e.ad_id} not present in catalog")
+            raise ValueError(f"clicked ad_id {ad_id} not present in catalog")
         ad_kind, content = entry
-        if classify_decoy_click(ad_kind, content, led.observed_profile(), led.real_clicks, cfg):
+        # Only a BLUFF_B click past the evidence gate reads the observed
+        # profile; skip building it for every other click.
+        if ad_kind is AdKind.BLUFF_B and led.real_clicks >= min_clicks:
+            observed = led.observed_profile()
+        else:
+            observed = None
+        if classify_decoy_click(ad_kind, content, observed, led.real_clicks, cfg):
             led.decoy_clicks += 1
         led.total_clicks += 1
         if ad_kind is AdKind.REAL:
@@ -347,21 +383,42 @@ def run_detection(
             for i, x in enumerate(content):
                 led.real_content_sum[i] += x
             led.real_clicks += 1
-        led.hour_counts[(e.t // MS_PER_HOUR) % HOURS] += 1
-        region = ip_regions.get(e.ip, 0) if ip_regions else 0
+        led.hour_counts[(t // MS_PER_HOUR) % HOURS] += 1
+        region = ip_regions.get(ip, 0) if ip_regions else 0
         if region >= n_regions:
             raise ValueError(f"region {region} outside reference distribution")
         led.region_counts[region] += 1
 
+    blacklisted = frozenset(ip for ip in ip_max if blacklist.check(ip, t_end))
+    return Evidence(ledgers, ip_max, blacklisted, accumulation_settings(cfg))
+
+
+def score_evidence(evidence: Evidence, cfg: DetectorConfig, reference: ReferenceProfile) -> dict:
+    """Score every agent of ``evidence`` and fuse the scores into verdicts.
+
+    Raises ``ValueError`` when ``cfg``'s accumulation settings differ from
+    those the evidence was built with, since the scan would have come out
+    differently.  Agents on a still-active blacklist entry at stream end are
+    flagged regardless of their fused score.
+    """
+    cfg.validate()
+    settings = accumulation_settings(cfg)
+    if settings != evidence.settings:
+        stale = [
+            f"{name}={built!r} (config has {now!r})"
+            for name, built, now in zip(ACCUMULATION_FIELDS, evidence.settings, settings)
+            if built != now
+        ]
+        raise ValueError("evidence was accumulated with other detector settings: " + ", ".join(stale))
     reports: dict[str, SuspicionReport] = {}
-    for agent_id, led in ledgers.items():
+    for agent_id, led in evidence.agents.items():
         s_b, p_value = score_bluff(led.total_clicks, led.decoy_clicks, cfg)
-        c = ip_max.get(led.ip, 0)
+        c = evidence.window_max.get(led.ip, 0)
         s_t = threshold_score(c, cfg)
         s_p, div = profile_divergence(
             led.hour_counts, led.region_counts, led.total_clicks, reference, cfg
         )
-        blacklisted = blacklist.check(led.ip, t_end)
+        blacklisted = led.ip in evidence.blacklisted
         fused, flagged = fuse(s_b, s_t, s_p, cfg, blacklisted=blacklisted)
         reports[agent_id] = SuspicionReport(
             agent_id=agent_id,
@@ -378,3 +435,29 @@ def run_detection(
             decoy_clicks=led.decoy_clicks,
         )
     return reports
+
+
+def run_detection(
+    events,
+    cfg: DetectorConfig,
+    catalog: dict,
+    ip_regions: Optional[dict] = None,
+    reference: Optional[ReferenceProfile] = None,
+) -> dict:
+    """Scan the event stream once, then score each agent:
+    ``score_evidence(accumulate_evidence(...))``.
+
+    ``catalog`` maps ad_id -> (AdKind, content vector); it is the broker's
+    own inventory knowledge.  ``ip_regions`` maps IP -> region bucket
+    (broker-side geolocation).  Without a ``reference``, the benign model is
+    flat over the hours and over the regions ``ip_regions`` names.  Pure
+    function of its inputs; ground-truth agent kinds are deliberately not an
+    input.  A caller that scores one stream under several configurations
+    calls the two steps itself and re-accumulates only when
+    ``accumulation_settings`` change (see ``pipeline.sweep``).
+    """
+    if reference is None:
+        region_count = (max(ip_regions.values()) + 1) if ip_regions else 1
+        reference = ReferenceProfile.from_config((1.0,) * HOURS, region_count)
+    evidence = accumulate_evidence(events, cfg, catalog, ip_regions, reference)
+    return score_evidence(evidence, cfg, reference)

@@ -202,7 +202,21 @@ class Event(NamedTuple):
 
 def event_sort_key(e: Event):
     """Documented total order: (t, agent_id, ad_id, impression-before-click)."""
-    return (e.t, e.agent_id, e.ad_id, 0 if e.etype is EventType.IMPRESSION else 1)
+    t, etype, agent_id, _, _, ad_id, _, _ = e
+    return (t, agent_id, ad_id, 0 if etype is EventType.IMPRESSION else 1)
+
+
+def in_event_order(events: Iterable[Event]) -> bool:
+    """Whether ``events`` already follow ``event_sort_key`` (ties allowed),
+    so that sorting them would leave them as they are."""
+    impression = EventType.IMPRESSION
+    prev = None
+    for t, etype, agent_id, _, _, ad_id, _, _ in events:
+        key = (t, agent_id, ad_id, 0 if etype is impression else 1)
+        if prev is not None and key < prev:
+            return False
+        prev = key
+    return True
 
 
 @dataclass
@@ -222,18 +236,19 @@ def validate_event_stream(events: Sequence[Event]) -> list[StreamViolation]:
     violations: list[StreamViolation] = []
     seen_impressions: set = set()
     prev_t = None
-    for i, e in enumerate(events):
-        if prev_t is not None and e.t < prev_t:
-            violations.append(StreamViolation(i, f"timestamp {e.t} decreases from {prev_t}"))
-        prev_t = e.t
-        key = (e.agent_id, e.page_id, e.ad_id)
-        if e.etype is EventType.IMPRESSION:
+    impression = EventType.IMPRESSION
+    for i, (t, etype, agent_id, _, page_id, ad_id, _, slot) in enumerate(events):
+        if prev_t is not None and t < prev_t:
+            violations.append(StreamViolation(i, f"timestamp {t} decreases from {prev_t}"))
+        prev_t = t
+        key = (agent_id, page_id, ad_id)
+        if etype is impression:
             seen_impressions.add(key)
         else:
             if key not in seen_impressions:
                 violations.append(
                     StreamViolation(i, f"click without matching impression: {key}")
                 )
-        if e.slot < 0:
-            violations.append(StreamViolation(i, f"negative slot index {e.slot}"))
+        if slot < 0:
+            violations.append(StreamViolation(i, f"negative slot index {slot}"))
     return violations

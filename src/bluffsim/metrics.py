@@ -113,8 +113,24 @@ class EconomicSummary:
     bluff_slot_overhead_micros: int  # score value of real ads displaced by decoys
 
 
-def economics(events, ledger, reports: dict, truth: dict, overhead_micros: int) -> EconomicSummary:
-    """Aggregate spend and decoy-overhead accounting for one run."""
+def bluff_impression_share(events) -> float:
+    """Share of the stream's impressions that showed a decoy; 0 without
+    impressions."""
+    impressions = 0
+    bluff_impressions = 0
+    impression = EventType.IMPRESSION
+    real = AdKind.REAL
+    for _, etype, _, _, _, _, ad_kind, _ in events:
+        if etype is impression:
+            impressions += 1
+            if ad_kind is not real:
+                bluff_impressions += 1
+    return bluff_impressions / impressions if impressions else 0.0
+
+
+def economics(ledger, reports: dict, truth: dict, overhead_micros: int, bluff_share: float) -> EconomicSummary:
+    """Aggregate spend and decoy-overhead accounting for one run;
+    ``bluff_share`` is the run's ``bluff_impression_share``."""
     total = 0
     fraud = 0
     fraud_flagged = 0
@@ -126,19 +142,11 @@ def economics(events, ledger, reports: dict, truth: dict, overhead_micros: int) 
             report = reports.get(entry.agent_id)
             if report is not None and report.flagged:
                 fraud_flagged += entry.amount_micros
-    impressions = 0
-    bluff_impressions = 0
-    for e in events:
-        if e.etype is EventType.IMPRESSION:
-            impressions += 1
-            if e.ad_kind is not AdKind.REAL:
-                bluff_impressions += 1
-    share = bluff_impressions / impressions if impressions else 0.0
     return EconomicSummary(
         total_spend_micros=total,
         fraud_spend_micros=fraud,
         fraud_spend_flagged_micros=fraud_flagged,
-        bluff_impression_share=share,
+        bluff_impression_share=bluff_share,
         bluff_slot_overhead_micros=overhead_micros,
     )
 

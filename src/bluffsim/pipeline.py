@@ -17,11 +17,18 @@ from typing import Optional
 
 from .broker import Broker, Campaign, ConfigError
 from .config import ScenarioConfig, _check, _field_types, dump_config
-from .detection import ReferenceProfile, run_detection
+from .detection import (
+    ReferenceProfile,
+    accumulate_evidence,
+    accumulation_settings,
+    run_detection,
+    score_evidence,
+)
 from .domain import AdKind, AdUnit
 from .metrics import (
     Confusion,
     EconomicSummary,
+    bluff_impression_share,
     confusion,
     economics,
     f1,
@@ -108,19 +115,23 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     config.validate()
     broker = build_broker(config)
     events, truth, ip_regions = run_traffic(config, broker)
-    return _evaluate(config, broker, events, truth, ip_regions)
+    reports = run_detection(events, config.detector, broker.catalog(), ip_regions, _reference(config))
+    return _evaluate(config, broker, events, truth, ip_regions, reports, bluff_impression_share(events))
 
 
-def _evaluate(config: ScenarioConfig, broker: Broker, events, truth, ip_regions) -> RunResult:
-    """Detection, confusion, AUC and economics over one traffic pass."""
-    reference = ReferenceProfile.from_config(config.diurnal, config.mix.region_count)
-    reports = run_detection(events, config.detector, broker.catalog(), ip_regions, reference)
+def _reference(config: ScenarioConfig) -> ReferenceProfile:
+    return ReferenceProfile.from_config(config.diurnal, config.mix.region_count)
+
+
+def _evaluate(config: ScenarioConfig, broker: Broker, events, truth, ip_regions, reports, share) -> RunResult:
+    """Confusion, AUC and economics of one set of verdicts over one traffic
+    pass whose bluff impression share is ``share``."""
     conf = confusion(reports, truth)
     try:
         _, auc = roc_points(reports, truth)
     except ValueError:
         auc = None  # single-class population (e.g. benign-only calibration)
-    econ = economics(events, broker.ledger, reports, truth, broker.overhead_micros)
+    econ = economics(broker.ledger, reports, truth, broker.overhead_micros, share)
     return RunResult(config, events, truth, ip_regions, reports, conf, econ, auc, broker)
 
 
@@ -240,10 +251,14 @@ def sweep(config: ScenarioConfig, param: str, values, out_dir=None) -> list:
     """Run the pipeline once per value of a numeric config field.
 
     Values are checked against the field's type as a config file's would be
-    (an int field takes integers only) before anything runs.  Detector-side
-    sweeps reuse a single traffic run and only repeat the detection and
-    metrics passes.  Returns one summary dict per value; when ``out_dir`` is
-    given, also writes a combined sweep_summary.csv.
+    (an int field takes integers only) before anything runs.  A detector-side
+    sweep runs traffic once and builds the catalog, the benign reference,
+    the bluff impression share and the detection evidence once; each value
+    then only re-scores the evidence, and scans the stream again only when
+    it changes a field of ``detection.ACCUMULATION_FIELDS``.  Every other
+    sweep runs the full pipeline per value.  Returns one summary dict per
+    value; when ``out_dir`` is given, also writes a combined
+    sweep_summary.csv.
     """
     config.validate()
     _, _, typ = _resolve_parent(config, param)
@@ -252,6 +267,10 @@ def sweep(config: ScenarioConfig, param: str, values, out_dir=None) -> list:
     if detector_side:
         broker = build_broker(config)
         events, truth, ip_regions = run_traffic(config, broker)
+        catalog = broker.catalog()
+        reference = _reference(config)
+        share = bluff_impression_share(events)
+        evidence = None
 
     rows = []
     for value in values:
@@ -260,7 +279,11 @@ def sweep(config: ScenarioConfig, param: str, values, out_dir=None) -> list:
         setattr(parent, leaf, value)
         cfg_v.validate()
         if detector_side:
-            result = _evaluate(cfg_v, broker, events, truth, ip_regions)
+            detector = cfg_v.detector
+            if evidence is None or accumulation_settings(detector) != evidence.settings:
+                evidence = accumulate_evidence(events, detector, catalog, ip_regions, reference)
+            reports = score_evidence(evidence, detector, reference)
+            result = _evaluate(cfg_v, broker, events, truth, ip_regions, reports, share)
         else:
             result = run_scenario(cfg_v)
         rows.append({"param": param, "value": value, **result.summary_values()})

@@ -12,7 +12,7 @@ from bluffsim.config import (
     dump_config,
     load_config,
 )
-from bluffsim.pipeline import sweep
+from bluffsim.pipeline import run_scenario, sweep
 from conftest import small_config
 
 
@@ -309,3 +309,25 @@ def test_sweep_detector_side_reuses_traffic():
     rows = sweep(cfg, "detector.fusion_threshold", [0.3, 0.9])
     assert rows[0]["total_spend"] == rows[1]["total_spend"]
     assert rows[0]["bluff_impression_share"] == rows[1]["bluff_impression_share"]
+
+
+@pytest.mark.parametrize(
+    "param,values",
+    [
+        # Accumulation side: each value needs its own scan of the stream.
+        ("detector.window_ms", [60_000, 600_000, 60_000, 3_600_000]),
+        # Read by both the scan and the scoring.
+        ("detector.min_clicks", [5, 1, 300, 100]),
+        # Scoring only: every row reuses one scan.
+        ("detector.p0", [0.02, 0.005, 0.05]),
+    ],
+)
+def test_sweep_rows_equal_separate_runs(param, values):
+    cfg = small_config(seed=7)
+    cfg.behavior.bot_click_rate = 0.6  # busy bot IPs, so the window scan matters
+    rows = sweep(cfg, param, values)
+    section, leaf = param.split(".")
+    for row, value in zip(rows, values):
+        setattr(getattr(cfg, section), leaf, value)
+        assert row == {"param": param, "value": value, **run_scenario(cfg).summary_values()}
+    assert len({row["recall"] for row in rows}) > 1  # the values move the verdicts

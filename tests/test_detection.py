@@ -7,9 +7,11 @@ from hypothesis import given, settings, strategies as st
 from scipy.spatial.distance import jensenshannon as scipy_js
 
 from bluffsim.detection import (
+    ACCUMULATION_FIELDS,
     Blacklist,
     DetectorConfig,
     ReferenceProfile,
+    accumulate_evidence,
     binom_tail_pvalue,
     classify_decoy_click,
     fuse,
@@ -17,6 +19,7 @@ from bluffsim.detection import (
     profile_divergence,
     run_detection,
     score_bluff,
+    score_evidence,
     threshold_score,
 )
 from bluffsim.domain import (
@@ -413,6 +416,38 @@ def test_run_detection_permutation_stable():
     shuffled = list(reversed(events))
     again = run_detection(shuffled, DetectorConfig(), cat)
     assert base == again
+    # Detection sorts a copy: the caller's out-of-order list is untouched.
+    assert shuffled == list(reversed(events))
+    assert run_detection(iter(events), DetectorConfig(), cat) == base
+
+
+@pytest.mark.parametrize("n_real,decoys", [(4, 1), (5, 0)])
+def test_run_detection_bluff_b_vouched_from_min_clicks_real_clicks(n_real, decoys):
+    # A bluff_b click on the topic of the agent's real-ad clicks counts as a
+    # decoy click until the agent has min_clicks (5) of them.
+    cat = catalog_with(("ad-r", AdKind.REAL, 1), ("bb01", AdKind.BLUFF_B, 1))
+    events = []
+    for i in range(n_real):
+        events += [imp(i * 1000, "u1", "ad-r", AdKind.REAL, page=i), clk(i * 1000 + 1, "u1", "ad-r", AdKind.REAL, page=i)]
+    t = n_real * 1000
+    events += [imp(t, "u1", "bb01", AdKind.BLUFF_B, page=n_real), clk(t + 1, "u1", "bb01", AdKind.BLUFF_B, page=n_real)]
+    r = run_detection(events, DetectorConfig(), cat)["u1"]
+    assert (r.total_clicks, r.decoy_clicks) == (n_real + 1, decoys)
+
+
+@pytest.mark.parametrize("name", ACCUMULATION_FIELDS)
+def test_score_evidence_refuses_evidence_from_other_settings(name):
+    cat = catalog_with(("ad-a", AdKind.REAL, 0))
+    events = [imp(5, "u1", "ad-a", AdKind.REAL), clk(6, "u1", "ad-a", AdKind.REAL)]
+    ref = ReferenceProfile.from_config((1.0,) * 24, 1)
+    evidence = accumulate_evidence(events, DetectorConfig(), cat, None, ref)
+    assert score_evidence(evidence, DetectorConfig(fusion_threshold=0.9), ref) == run_detection(
+        events, DetectorConfig(fusion_threshold=0.9), cat
+    )
+    other = DetectorConfig()
+    setattr(other, name, getattr(other, name) * 2 if name != "mismatch_epsilon" else 0.5)
+    with pytest.raises(ValueError, match=name):
+        score_evidence(evidence, other, ref)
 
 
 def test_run_detection_zero_click_agent_reported_unflagged():
@@ -451,7 +486,8 @@ def test_run_detection_rejects_unknown_ad():
 
 
 def test_detector_cannot_see_agent_kinds():
-    # Structural: the detection entry point takes no ground-truth argument.
-    params = inspect.signature(run_detection).parameters
-    assert "truth" not in params and "agents" not in params
-    assert set(params) == {"events", "cfg", "catalog", "ip_regions", "reference"}
+    # Structural: no detection entry point takes a ground-truth argument.
+    for fn in (run_detection, accumulate_evidence, score_evidence):
+        params = inspect.signature(fn).parameters
+        assert "truth" not in params and "agents" not in params
+    assert set(inspect.signature(run_detection).parameters) == {"events", "cfg", "catalog", "ip_regions", "reference"}

@@ -10,6 +10,8 @@ from bluffsim.domain import (
     Event,
     EventType,
     basis_vector,
+    event_sort_key,
+    in_event_order,
     make_topic_vector,
     relevance,
     validate_event_stream,
@@ -148,3 +150,29 @@ def test_decreasing_timestamps_flagged():
 def test_click_on_other_page_is_orphan():
     violations = validate_event_stream([imp(1, page=0), clk(2, page=1)])
     assert len(violations) == 1
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.sampled_from(list(EventType)),
+            st.sampled_from(["u1", "u2"]),
+            st.sampled_from(["ad-1", "ad-2"]),
+            st.integers(0, 2),
+        ),
+        max_size=12,
+    )
+)
+def test_in_event_order_matches_sorting(rows):
+    # Small value ranges force ties on every key component, and the page id
+    # varies outside the key, so a stable sort is the only correct reference.
+    events = [Event(t, etype, agent, "10.0.0.1", page, ad, AdKind.REAL, 0) for t, etype, agent, ad, page in rows]
+    assert in_event_order(events) == (sorted(events, key=event_sort_key) == events)
+    # From a sorted stream, swapping two neighbours breaks the order exactly
+    # when their keys differ.
+    events.sort(key=event_sort_key)
+    assert in_event_order(events)
+    for i in range(len(events) - 1):
+        swapped = events[:i] + [events[i + 1], events[i]] + events[i + 2:]
+        assert in_event_order(swapped) == (event_sort_key(events[i]) == event_sort_key(events[i + 1]))
