@@ -15,6 +15,7 @@ from typing import Optional
 
 from .domain import (
     EPSILON_BLUFF,
+    MAX_DWELL_MS,
     MS_PER_DAY,
     AdKind,
     AdUnit,
@@ -124,7 +125,12 @@ class Broker:
         self.ledger = BillingLedger()
         self.rel = relevance_cache or RelevanceCache()
         self.overhead_micros = 0  # score value of real ads displaced by decoys
-        self._served: set = set()  # (agent_id, page_id, ad_id)
+        # Open pages, (agent_id, page_id) -> (t, slate), in two generations:
+        # those served since ``_rotated_at`` and those of the generation
+        # before.  See ``serve_page``.
+        self._pages: dict = {}
+        self._pages_prev: dict = {}
+        self._rotated_at = 0
         self._day = 0
         self._rows: dict = {}  # profile -> ranking row, see rank_ads
 
@@ -276,7 +282,19 @@ class Broker:
         replaced by a decoy with probability rho (untargeted decoy with
         probability type_b_share, else one built for this profile).
         Replaced real ads receive no impression.
+
+        The page stays open for clicks until ``MAX_DWELL_MS`` after ``t``.
+        Pages are kept in two generations; when more than ``MAX_DWELL_MS``
+        has passed since the current one began, it becomes the previous one
+        and the previous one is dropped, so every dropped page was served
+        more than ``MAX_DWELL_MS`` before this page.  Clicks must therefore
+        be recorded in time order with page serves: each click before any
+        page served later than the click.
         """
+        if t - self._rotated_at > MAX_DWELL_MS:
+            self._pages_prev = self._pages
+            self._pages = {}
+            self._rotated_at = t
         self._advance_day(t)
         slate = self.rank_ads(profile, slots)
         inj = self.injection
@@ -291,7 +309,7 @@ class Broker:
         for ad in slate:
             if ad.kind is AdKind.REAL:
                 self.quality[ad.ad_id].impressions += 1
-            self._served.add((agent_id, page_id, ad.ad_id))
+        self._pages[(agent_id, page_id)] = (t, tuple(slate))
         return slate
 
     # -- billing ------------------------------------------------------------
@@ -310,12 +328,23 @@ class Broker:
         Decoy clicks are never charged.  Clicks from blacklisted IPs are
         metered but excluded from billing.  The charge is clamped to the
         campaign's remaining daily budget.
+
+        The click must land on an ad of a page that ``serve_page`` served
+        this agent at most ``MAX_DWELL_MS`` earlier, and be recorded before
+        any page served later than ``t`` (see ``serve_page``); otherwise it
+        is refused with ``ValueError``.
         """
         self._advance_day(t)
         ad = self.ads.get(ad_id)
         if ad is None and ad_id not in self._bluff_a_ids:
             raise ValueError(f"click on unknown ad_id {ad_id}")
-        if (agent_id, page_id, ad_id) not in self._served:
+        key = (agent_id, page_id)
+        page = self._pages.get(key) or self._pages_prev.get(key)
+        slate = page[1] if page is not None and t - page[0] <= MAX_DWELL_MS else ()
+        for served in slate:
+            if served.ad_id == ad_id:
+                break
+        else:
             raise ValueError(
                 f"click without a served impression: agent={agent_id} page={page_id} ad={ad_id}"
             )

@@ -305,23 +305,13 @@ class Evidence:
     settings: tuple
 
 
-def accumulate_evidence(
-    events,
-    cfg: DetectorConfig,
-    catalog: dict,
-    ip_regions: Optional[dict],
-    reference: ReferenceProfile,
-) -> Evidence:
-    """Validate the event stream and scan it once into per-agent and per-IP
-    evidence.
+def check_event_stream(events) -> Sequence:
+    """``events`` in ``event_sort_key`` order, once ``validate_event_stream``
+    finds no violation; raises ``ValueError`` naming the first one otherwise.
 
-    ``events`` is sorted into ``event_sort_key`` order only when it is out of
-    order, into a new list; the caller's list is never modified.  IPs whose
-    sliding-window click count exceeds the cap are added to the blacklist as
-    the stream is scanned (the continually-updated list).  Region counts get
-    one bin per region of ``reference``.
+    The stream is sorted only when it is out of order, into a new list; the
+    caller's list is never modified.  An iterator is read into a list first.
     """
-    cfg.validate()
     if not isinstance(events, Sequence):
         events = list(events)  # the order check must not consume an iterator
     ordered = events if in_event_order(events) else sorted(events, key=event_sort_key)
@@ -332,6 +322,40 @@ def accumulate_evidence(
             f"event stream failed validation ({len(violations)} violations; "
             f"first at index {first.index}: {first.reason})"
         )
+    return ordered
+
+
+def accumulate_evidence(
+    events,
+    cfg: DetectorConfig,
+    catalog: dict,
+    ip_regions: Optional[dict],
+    reference: ReferenceProfile,
+) -> Evidence:
+    """Validate the event stream and scan it once into per-agent and per-IP
+    evidence: ``scan_evidence(check_event_stream(events), ...)``.
+    """
+    cfg.validate()
+    return scan_evidence(check_event_stream(events), cfg, catalog, ip_regions, reference)
+
+
+def scan_evidence(
+    ordered: Sequence,
+    cfg: DetectorConfig,
+    catalog: dict,
+    ip_regions: Optional[dict],
+    reference: ReferenceProfile,
+) -> Evidence:
+    """Scan a stream that ``check_event_stream`` returned into per-agent and
+    per-IP evidence.
+
+    IPs whose sliding-window click count exceeds the cap are added to the
+    blacklist as the stream is scanned (the continually-updated list).
+    Region counts get one bin per region of ``reference``.  A caller that
+    scans one stream under several settings checks it once (see
+    ``pipeline.sweep``).
+    """
+    cfg.validate()
     n_regions = len(reference.regions)
     window_ms = cfg.window_ms
     click_cap = cfg.click_cap
@@ -453,8 +477,9 @@ def run_detection(
     flat over the hours and over the regions ``ip_regions`` names.  Pure
     function of its inputs; ground-truth agent kinds are deliberately not an
     input.  A caller that scores one stream under several configurations
-    calls the two steps itself and re-accumulates only when
-    ``accumulation_settings`` change (see ``pipeline.sweep``).
+    checks it once with ``check_event_stream``, re-scans it with
+    ``scan_evidence`` only when ``accumulation_settings`` change, and scores
+    each configuration with ``score_evidence`` (see ``pipeline.sweep``).
     """
     if reference is None:
         region_count = (max(ip_regions.values()) + 1) if ip_regions else 1

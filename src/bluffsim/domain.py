@@ -14,8 +14,10 @@ from __future__ import annotations
 
 import enum
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
-from typing import Iterable, NamedTuple, Optional, Sequence
+from operator import itemgetter
+from typing import Iterable, NamedTuple, Optional
 
 DEFAULT_TOPIC_DIM = 16
 
@@ -25,6 +27,10 @@ EPSILON_BLUFF = 0.05
 
 MS_PER_HOUR = 3_600_000
 MS_PER_DAY = 86_400_000
+
+# A click lands between 1 and this many ms after its impression, so the
+# broker may drop a page once this long has passed since it was served.
+MAX_DWELL_MS = 4000
 
 TopicVector = tuple  # tuple[float, ...] of length D
 
@@ -219,36 +225,70 @@ def in_event_order(events: Iterable[Event]) -> bool:
     return True
 
 
+def sort_time_ties(events: list) -> None:
+    """Sort ``events`` in place into ``event_sort_key`` order, for a list
+    whose timestamps never decrease: only runs of equal ``t`` can then be out
+    of order, and each run is sorted on its own, so sort keys exist for one
+    run at a time.  If ``t`` does decrease, the whole list is sorted by
+    ``event_sort_key``.  Either way the result equals
+    ``sorted(events, key=event_sort_key)``.
+    """
+    start = 0
+    prev = None
+    # Only runs already passed are rewritten, each with as many events, so
+    # the iteration below never sees a changed position.
+    for end, t in enumerate(map(itemgetter(0), events)):
+        if t == prev:
+            continue
+        if prev is not None and t < prev:
+            events.sort(key=event_sort_key)
+            return
+        if end - start > 1:
+            run = events[start:end]
+            run.sort(key=event_sort_key)
+            events[start:end] = run
+        start, prev = end, t
+    run = events[start:]
+    run.sort(key=event_sort_key)
+    events[start:] = run
+
+
 @dataclass
 class StreamViolation:
     index: int
     reason: str
 
 
-def validate_event_stream(events: Sequence[Event]) -> list[StreamViolation]:
+def validate_event_stream(events: Iterable[Event]) -> list[StreamViolation]:
     """Check ordering and click/impression pairing.
 
     Returns a list of violations (empty means the stream is well formed).
     Every click must reference an impression with the same
     (agent_id, page_id, ad_id) at an earlier-or-equal timestamp, and
     timestamps must be non-decreasing.
+
+    A first pass collects the keys that clicks name; the second strikes a
+    key off at its first impression, so a click whose key is still pending
+    has no impression before it.  Only keys some click names are ever held:
+    the set grows with clicks, not with the stream.  An iterator is read into
+    a list for the two passes.
     """
-    violations: list[StreamViolation] = []
-    seen_impressions: set = set()
-    prev_t = None
+    if not isinstance(events, Sequence):
+        events = list(events)
     impression = EventType.IMPRESSION
+    # Indexing three fields costs less than unpacking all eight.
+    pending = {(e[2], e[4], e[5]) for e in events if e[1] is not impression}
+    violations: list[StreamViolation] = []
+    prev_t = None
     for i, (t, etype, agent_id, _, page_id, ad_id, _, slot) in enumerate(events):
         if prev_t is not None and t < prev_t:
             violations.append(StreamViolation(i, f"timestamp {t} decreases from {prev_t}"))
         prev_t = t
         key = (agent_id, page_id, ad_id)
         if etype is impression:
-            seen_impressions.add(key)
-        else:
-            if key not in seen_impressions:
-                violations.append(
-                    StreamViolation(i, f"click without matching impression: {key}")
-                )
+            pending.discard(key)
+        elif key in pending:
+            violations.append(StreamViolation(i, f"click without matching impression: {key}"))
         if slot < 0:
             violations.append(StreamViolation(i, f"negative slot index {slot}"))
     return violations

@@ -19,9 +19,10 @@ from .broker import Broker, Campaign, ConfigError
 from .config import ScenarioConfig, _check, _field_types, dump_config
 from .detection import (
     ReferenceProfile,
-    accumulate_evidence,
     accumulation_settings,
+    check_event_stream,
     run_detection,
+    scan_evidence,
     score_evidence,
 )
 from .domain import AdKind, AdUnit
@@ -253,9 +254,10 @@ def sweep(config: ScenarioConfig, param: str, values, out_dir=None) -> list:
     Values are checked against the field's type as a config file's would be
     (an int field takes integers only) before anything runs.  A detector-side
     sweep runs traffic once and builds the catalog, the benign reference,
-    the bluff impression share and the detection evidence once; each value
-    then only re-scores the evidence, and scans the stream again only when
-    it changes a field of ``detection.ACCUMULATION_FIELDS``.  Every other
+    the bluff impression share and the detection evidence once, and checks
+    the stream once; each value then only re-scores the evidence, and scans
+    the stream again only when it changes a field of
+    ``detection.ACCUMULATION_FIELDS``.  Every other
     sweep runs the full pipeline per value.  Returns one summary dict per
     value; when ``out_dir`` is given, also writes a combined
     sweep_summary.csv.
@@ -270,6 +272,7 @@ def sweep(config: ScenarioConfig, param: str, values, out_dir=None) -> list:
         catalog = broker.catalog()
         reference = _reference(config)
         share = bluff_impression_share(events)
+        ordered = check_event_stream(events)
         evidence = None
 
     rows = []
@@ -281,7 +284,7 @@ def sweep(config: ScenarioConfig, param: str, values, out_dir=None) -> list:
         if detector_side:
             detector = cfg_v.detector
             if evidence is None or accumulation_settings(detector) != evidence.settings:
-                evidence = accumulate_evidence(events, detector, catalog, ip_regions, reference)
+                evidence = scan_evidence(ordered, detector, catalog, ip_regions, reference)
             reports = score_evidence(evidence, detector, reference)
             result = _evaluate(cfg_v, broker, events, truth, ip_regions, reports, share)
         else:

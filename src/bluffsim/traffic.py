@@ -15,6 +15,7 @@ from typing import Optional
 
 from .broker import Broker, ConfigError
 from .domain import (
+    MAX_DWELL_MS,
     MS_PER_DAY,
     MS_PER_HOUR,
     AdKind,
@@ -24,7 +25,7 @@ from .domain import (
     EventType,
     RelevanceCache,
     TopicVector,
-    event_sort_key,
+    sort_time_ties,
 )
 from .rng import (
     STREAM_INJECTION,
@@ -35,6 +36,10 @@ from .rng import (
 
 MAX_BENIGN = 1 << 24  # 10.x.y.z, one address per benign user
 MAX_BOT_IP_GROUPS = 1 << 20  # 172.16.0.0/12, one address per bot IP group
+# Pages one agent may view in a run.  Page ids (stride 10^6 per agent) and
+# injection streams (stride 2^20 per agent) would alias the next agent's
+# beyond this.
+MAX_PAGES_PER_AGENT = 1_000_000
 
 
 @dataclass
@@ -396,7 +401,12 @@ def run_traffic(
     Returns (events sorted by the documented tie order, truth map
     agent_id -> AgentKind, ip_regions).  Billing happens in strict timestamp
     order: clicks are queued with their dwell delay and billed before any
-    later page is served, so daily budget resets see monotone time.
+    later page is served, so daily budget resets see monotone time and the
+    broker can drop pages no click can reach any more.  Events are appended
+    in non-decreasing time, so only runs of equal timestamps get sorted.
+
+    Raises ``ConfigError`` when an agent reaches ``MAX_PAGES_PER_AGENT``
+    page views, where its ids would alias another agent's.
     """
     if agents is None:
         campaign_targeting = {c.advertiser_id: c.targeting for c in config.campaigns}
@@ -440,6 +450,12 @@ def run_traffic(
         flush_pending(t)
         agent = by_id[agent_id]
         counter = page_counters.get(agent_id, 0)
+        if counter >= MAX_PAGES_PER_AGENT:
+            raise ConfigError(
+                f"agent {agent_id} reaches {MAX_PAGES_PER_AGENT} page views, beyond which its page ids "
+                "and injection streams alias another agent's; lower horizon_days, "
+                "behavior.pages_per_session or the sessions-per-day rates"
+            )
         page_counters[agent_id] = counter + 1
         page_id = agent.index * 1_000_000 + counter
         inj_rng = SplitMix64.for_stream(
@@ -458,11 +474,11 @@ def run_traffic(
         clicked = decide_clicks(agent, slate, behavior, rng, broker.rel)
         for slot in sorted(clicked):
             ad = slate[slot]
-            delay = 1 + rng.randrange(4000)
+            delay = 1 + rng.randrange(MAX_DWELL_MS)
             heapq.heappush(pending, (t + delay, serial, agent_id, page_id, ad.ad_id, ad.kind, slot))
             serial += 1
     flush_pending(1 << 62)
 
-    events.sort(key=event_sort_key)
+    sort_time_ties(events)
     truth = {a.agent_id: a.kind for a in agents}
     return events, truth, ip_regions

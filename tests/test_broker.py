@@ -5,7 +5,7 @@ from hypothesis import given, settings, strategies as st
 
 from bluffsim.broker import Broker, Campaign, ConfigError, InjectionConfig
 from bluffsim.detection import Blacklist
-from bluffsim.domain import MS_PER_DAY, AdKind, AdUnit, basis_vector, relevance
+from bluffsim.domain import MAX_DWELL_MS, MS_PER_DAY, AdKind, AdUnit, basis_vector, relevance
 from bluffsim.rng import SplitMix64
 from bluffsim.traffic import TrafficMix, build_population
 
@@ -278,6 +278,45 @@ def test_click_without_impression_rejected():
     broker = make_broker([single_ad_campaign("a", 0, 100)])
     with pytest.raises(ValueError):
         broker.record_click("ad-a", 0, "u", 0)
+
+
+def test_click_on_ad_not_on_the_page_rejected():
+    broker = make_broker([single_ad_campaign("a", 0, 100), single_ad_campaign("b", 1, 100)])
+    served = broker.serve_page(basis_vector(D, 0), 1, SplitMix64.for_stream(1, 2), 0, "u", 0)
+    assert [ad.ad_id for ad in served] == ["ad-a"]
+    with pytest.raises(ValueError, match="without a served impression"):
+        broker.record_click("ad-b", 1, "u", 0)
+
+
+def test_click_charged_up_to_the_dwell_bound():
+    broker = make_broker([single_ad_campaign("a", 0, 100)])
+    profile = basis_vector(D, 0)
+    for page in (0, 1):
+        broker.serve_page(profile, 1, SplitMix64.for_stream(page, 2), 1000, "u", page)
+    assert broker.record_click("ad-a", 1000 + MAX_DWELL_MS, "u", 0) == 100
+    with pytest.raises(ValueError, match="without a served impression"):
+        broker.record_click("ad-a", 1000 + MAX_DWELL_MS + 1, "u", 1)
+
+
+def test_page_clickable_after_later_pages_are_served():
+    broker = make_broker([single_ad_campaign("a", 0, 100)])
+    profile = basis_vector(D, 0)
+    # The page at 3000 outlives a change of generation at MAX_DWELL_MS + 1.
+    for page, t in enumerate((0, 3000, MAX_DWELL_MS + 1, MAX_DWELL_MS + 2000)):
+        broker.serve_page(profile, 1, SplitMix64.for_stream(page, 2), t, "u", page)
+    assert broker.record_click("ad-a", 3000 + MAX_DWELL_MS, "u", 1) == 100
+    with pytest.raises(ValueError, match="without a served impression"):
+        broker.record_click("ad-a", 3000 + MAX_DWELL_MS, "u", 0)
+
+
+def test_page_state_holds_at_most_two_dwell_windows():
+    broker = make_broker([single_ad_campaign("a", 0, 100)])
+    profile = basis_vector(D, 0)
+    pages_per_window = MAX_DWELL_MS // 1000 + 1
+    for page in range(10_000):
+        broker.serve_page(profile, 1, SplitMix64.for_stream(page, 2), page * 1000, "u", page)
+        assert len(broker._pages) + len(broker._pages_prev) <= 2 * pages_per_window
+    assert broker.record_click("ad-a", 9999 * 1000 + MAX_DWELL_MS, "u", 9999) == 100
 
 
 def test_blacklisted_ip_clicks_not_billed_but_metered():

@@ -4,6 +4,7 @@ import re
 import pytest
 import yaml
 
+from bluffsim import detection
 from bluffsim.broker import ConfigError
 from bluffsim.cli import main
 from bluffsim.config import (
@@ -12,6 +13,7 @@ from bluffsim.config import (
     dump_config,
     load_config,
 )
+from bluffsim.domain import validate_event_stream
 from bluffsim.pipeline import run_scenario, sweep
 from conftest import small_config
 
@@ -309,6 +311,19 @@ def test_sweep_detector_side_reuses_traffic():
     rows = sweep(cfg, "detector.fusion_threshold", [0.3, 0.9])
     assert rows[0]["total_spend"] == rows[1]["total_spend"]
     assert rows[0]["bluff_impression_share"] == rows[1]["bluff_impression_share"]
+
+
+def test_sweep_checks_the_stream_once(monkeypatch):
+    # Re-scans for new accumulation settings reuse the checked stream.
+    calls = []
+
+    def counting(events):
+        calls.append(len(events))
+        return validate_event_stream(events)
+
+    monkeypatch.setattr(detection, "validate_event_stream", counting)
+    sweep(small_config(seed=4), "detector.window_ms", [60_000, 600_000, 3_600_000])
+    assert len(calls) == 1
 
 
 @pytest.mark.parametrize(

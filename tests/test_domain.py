@@ -14,6 +14,7 @@ from bluffsim.domain import (
     in_event_order,
     make_topic_vector,
     relevance,
+    sort_time_ties,
     validate_event_stream,
 )
 
@@ -176,3 +177,77 @@ def test_in_event_order_matches_sorting(rows):
     for i in range(len(events) - 1):
         swapped = events[:i] + [events[i + 1], events[i]] + events[i + 2:]
         assert in_event_order(swapped) == (event_sort_key(events[i]) == event_sort_key(events[i + 1]))
+
+
+def reference_violations(events):
+    """Brute force: remembers every impression of the stream."""
+    out = []
+    seen = set()
+    prev_t = None
+    for i, e in enumerate(events):
+        if prev_t is not None and e.t < prev_t:
+            out.append((i, f"timestamp {e.t} decreases from {prev_t}"))
+        prev_t = e.t
+        key = (e.agent_id, e.page_id, e.ad_id)
+        if e.etype is EventType.IMPRESSION:
+            seen.add(key)
+        elif key not in seen:
+            out.append((i, f"click without matching impression: {key}"))
+        if e.slot < 0:
+            out.append((i, f"negative slot index {e.slot}"))
+    return out
+
+
+@given(
+    st.lists(
+        st.tuples(
+            st.integers(0, 4),
+            st.sampled_from(list(EventType)),
+            st.sampled_from(["u1", "u2"]),
+            st.integers(0, 2),
+            st.sampled_from(["ad-1", "ad-2"]),
+            st.integers(-1, 2),
+        ),
+        max_size=20,
+    )
+)
+def test_validate_event_stream_matches_brute_force(rows):
+    # Few distinct keys and times: orphan clicks, clicks before their
+    # impression, repeated keys, decreasing t and negative slots all occur.
+    events = [Event(t, etype, agent, "10.0.0.1", page, ad, AdKind.REAL, slot) for t, etype, agent, page, ad, slot in rows]
+    expected = reference_violations(events)
+    assert [(v.index, v.reason) for v in validate_event_stream(events)] == expected
+    assert [(v.index, v.reason) for v in validate_event_stream(e for e in events)] == expected
+
+
+@given(
+    st.booleans(),
+    st.lists(
+        st.tuples(
+            st.integers(0, 3),
+            st.sampled_from(list(EventType)),
+            st.sampled_from(["u1", "u2", "u3"]),
+            st.sampled_from(["ad-1", "ad-2", "ad-3"]),
+            st.integers(0, 2),
+        ),
+        max_size=30,
+    ),
+)
+def test_sort_time_ties_matches_full_sort(monotone, rows):
+    # Monotone streams step t by 0 or 1, so most events share a timestamp;
+    # the others take t as drawn, so t may decrease.
+    events = []
+    t = 0
+    for step, etype, agent, ad, page in rows:
+        t = t + min(step, 1) if monotone else step
+        events.append(Event(t, etype, agent, "10.0.0.1", page, ad, AdKind.REAL, 0))
+    ordered = list(events)
+    sort_time_ties(ordered)
+    assert ordered == sorted(events, key=event_sort_key)
+
+
+def test_sort_time_ties_falls_back_when_t_decreases():
+    events = [clk(2, ad="ad-2"), imp(2, ad="ad-2"), imp(1, ad="ad-3"), imp(1, ad="ad-1")]
+    ordered = list(events)
+    sort_time_ties(ordered)
+    assert ordered == [imp(1, ad="ad-1"), imp(1, ad="ad-3"), imp(2, ad="ad-2"), clk(2, ad="ad-2")]

@@ -5,8 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 from scipy import stats
 
+from bluffsim import traffic
 from bluffsim.broker import ConfigError
+from bluffsim.config import load_config
 from bluffsim.domain import (
+    MAX_DWELL_MS,
     MS_PER_DAY,
     MS_PER_HOUR,
     AdKind,
@@ -28,6 +31,7 @@ from bluffsim.traffic import (
     build_population,
     decide_clicks,
     plan_sessions,
+    run_traffic,
 )
 from conftest import small_config
 
@@ -371,3 +375,41 @@ def test_view_bots_add_impressions_never_clicks():
         }
 
     assert pages(base.events, view_agents) == pages(withv.events, view_agents)
+
+
+def one_day_attack():
+    cfg = load_config("default-attack")
+    cfg.horizon_days = 1
+    return cfg
+
+
+def test_click_delays_within_dwell_bound():
+    # The broker drops a page MAX_DWELL_MS after it was served, so no click
+    # may come later than that.
+    cfg = one_day_attack()
+    events, _, _ = run_traffic(cfg, build_broker(cfg))
+    served = {}
+    delays = []
+    for e in events:
+        key = (e.agent_id, e.page_id, e.ad_id)
+        if e.etype is EventType.IMPRESSION:
+            served[key] = e.t
+        else:
+            delays.append(e.t - served[key])
+    assert len(delays) > 1000
+    assert 1 <= min(delays) and max(delays) <= MAX_DWELL_MS
+
+
+def test_pages_per_agent_limit_raises_config_error(monkeypatch):
+    cfg = one_day_attack()
+    events, _, _ = run_traffic(cfg, build_broker(cfg))
+    agents, _ = build_population(cfg.mix, cfg.topic_dim, cfg.seed)
+    views = {}
+    for plan in plan_sessions(agents, cfg.behavior, MS_PER_DAY, cfg.diurnal, cfg.seed):
+        views[plan.agent_id] = views.get(plan.agent_id, 0) + len(plan.arrivals)
+    most = max(views.values())
+    monkeypatch.setattr(traffic, "MAX_PAGES_PER_AGENT", most)
+    assert run_traffic(cfg, build_broker(cfg))[0] == events
+    monkeypatch.setattr(traffic, "MAX_PAGES_PER_AGENT", most - 1)
+    with pytest.raises(ConfigError, match=r"horizon_days.*behavior\.pages_per_session"):
+        run_traffic(cfg, build_broker(cfg))
