@@ -16,9 +16,10 @@ from .detection import (
     DetectorConfig,
     ReferenceProfile,
     SuspicionReport,
-    accumulate_evidence,
     binom_tail_pvalue,
+    check_event_stream,
     run_detection,
+    scan_evidence,
     score_evidence,
 )
 from .domain import (

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Optional
 
 from .domain import (
     EPSILON_BLUFF,
@@ -113,7 +112,6 @@ class Broker:
         injection: InjectionConfig,
         topic_dim: int,
         seed: int,
-        relevance_cache: Optional[RelevanceCache] = None,
     ):
         injection.validate()
         self.injection = injection
@@ -123,7 +121,7 @@ class Broker:
         self._ad_owner: dict[str, str] = {}
         self.quality: dict[str, QualityScore] = {}
         self.ledger = BillingLedger()
-        self.rel = relevance_cache or RelevanceCache()
+        self.rel = RelevanceCache()
         self.overhead_micros = 0  # score value of real ads displaced by decoys
         # Open pages, (agent_id, page_id) -> (t, slate), in two generations:
         # those served since ``_rotated_at`` and those of the generation
@@ -158,8 +156,6 @@ class Broker:
         # detector consumes stays consistent across impressions.
         for unit in self._bluff_b_units:
             self.ads[unit.ad_id] = unit
-        self._bluff_a_ids = {ad_id for ad_id, _ in self._bluff_pool}
-        self._bluff_a_ids.update(f"ba-basis{t:02d}" for t in range(topic_dim))
 
     # -- decoy construction -------------------------------------------------
 
@@ -314,19 +310,10 @@ class Broker:
 
     # -- billing ------------------------------------------------------------
 
-    def record_click(
-        self,
-        ad_id: str,
-        t: int,
-        agent_id: str,
-        page_id: int,
-        ip: Optional[str] = None,
-        blacklist=None,
-    ) -> int:
+    def record_click(self, ad_id: str, t: int, agent_id: str, page_id: int) -> int:
         """Meter a click and charge the advertiser; returns micros charged.
 
-        Decoy clicks are never charged.  Clicks from blacklisted IPs are
-        metered but excluded from billing.  The charge is clamped to the
+        Decoy clicks are never charged.  The charge is clamped to the
         campaign's remaining daily budget.
 
         The click must land on an ad of a page that ``serve_page`` served
@@ -335,24 +322,19 @@ class Broker:
         is refused with ``ValueError``.
         """
         self._advance_day(t)
-        ad = self.ads.get(ad_id)
-        if ad is None and ad_id not in self._bluff_a_ids:
-            raise ValueError(f"click on unknown ad_id {ad_id}")
         key = (agent_id, page_id)
         page = self._pages.get(key) or self._pages_prev.get(key)
         slate = page[1] if page is not None and t - page[0] <= MAX_DWELL_MS else ()
-        for served in slate:
-            if served.ad_id == ad_id:
+        for ad in slate:
+            if ad.ad_id == ad_id:
                 break
         else:
             raise ValueError(
                 f"click without a served impression: agent={agent_id} page={page_id} ad={ad_id}"
             )
-        if ad is None or ad.kind is not AdKind.REAL:
+        if ad.kind is not AdKind.REAL:
             return 0
         self.quality[ad_id].clicks += 1
-        if blacklist is not None and ip is not None and blacklist.check(ip, t):
-            return 0
         campaign = self.campaigns[self._ad_owner[ad_id]]
         charge = min(ad.bid_micros, campaign.remaining_micros())
         if charge <= 0:

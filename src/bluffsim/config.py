@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import math
 import typing
 from dataclasses import dataclass, field, fields, is_dataclass
 from pathlib import Path
@@ -116,6 +117,7 @@ class ScenarioConfig:
         if any(w < 0 for w in self.diurnal) or not any(w > 0 for w in self.diurnal):
             raise ConfigError("diurnal weights must be non-negative, not all zero")
         self.mix.validate("mix")
+        self.mix.validate_topics(self.topic_dim, "mix")
         self.behavior.validate("behavior")
         self.injection.validate("injection")
         self.detector.validate("detector")
@@ -159,15 +161,15 @@ def _keys(cls) -> dict:
 def _check(value, typ, path: str):
     """Return ``value`` as a field annotated ``typ`` stores it, or raise a
     ConfigError naming ``path``.  Nothing is cast: only an int given for a
-    float field becomes a float."""
+    float field becomes a float.  A float field refuses NaN and infinities."""
     if typ is int:
         if isinstance(value, int) and not isinstance(value, bool):
             return value
         raise ConfigError(f"{path}: expected an integer, got {value!r}")
     if typ is float:
-        if isinstance(value, (int, float)) and not isinstance(value, bool):
+        if isinstance(value, (int, float)) and not isinstance(value, bool) and math.isfinite(value):
             return float(value)
-        raise ConfigError(f"{path}: expected a number, got {value!r}")
+        raise ConfigError(f"{path}: expected a finite number, got {value!r}")
     if typ is str or typ == Optional[str]:
         if value is None and typ is not str:
             return None

@@ -162,9 +162,6 @@ class Blacklist:
         expiry = self._expiry.get(ip)
         return expiry is not None and expiry > t
 
-    def __len__(self) -> int:
-        return len(self._expiry)
-
 
 def classify_decoy_click(
     ad_kind: AdKind,
@@ -325,20 +322,6 @@ def check_event_stream(events) -> Sequence:
     return ordered
 
 
-def accumulate_evidence(
-    events,
-    cfg: DetectorConfig,
-    catalog: dict,
-    ip_regions: Optional[dict],
-    reference: ReferenceProfile,
-) -> Evidence:
-    """Validate the event stream and scan it once into per-agent and per-IP
-    evidence: ``scan_evidence(check_event_stream(events), ...)``.
-    """
-    cfg.validate()
-    return scan_evidence(check_event_stream(events), cfg, catalog, ip_regions, reference)
-
-
 def scan_evidence(
     ordered: Sequence,
     cfg: DetectorConfig,
@@ -468,8 +451,8 @@ def run_detection(
     ip_regions: Optional[dict] = None,
     reference: Optional[ReferenceProfile] = None,
 ) -> dict:
-    """Scan the event stream once, then score each agent:
-    ``score_evidence(accumulate_evidence(...))``.
+    """Check the event stream, scan it once, then score each agent:
+    ``score_evidence(scan_evidence(check_event_stream(events), ...))``.
 
     ``catalog`` maps ad_id -> (AdKind, content vector); it is the broker's
     own inventory knowledge.  ``ip_regions`` maps IP -> region bucket
@@ -484,5 +467,5 @@ def run_detection(
     if reference is None:
         region_count = (max(ip_regions.values()) + 1) if ip_regions else 1
         reference = ReferenceProfile.from_config((1.0,) * HOURS, region_count)
-    evidence = accumulate_evidence(events, cfg, catalog, ip_regions, reference)
+    evidence = scan_evidence(check_event_stream(events), cfg, catalog, ip_regions, reference)
     return score_evidence(evidence, cfg, reference)

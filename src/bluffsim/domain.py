@@ -55,22 +55,6 @@ class EventType(enum.Enum):
     CLICK = "click"
 
 
-def make_topic_vector(weights: Iterable[float], dim: Optional[int] = None) -> TopicVector:
-    """Validate and freeze a topic vector.
-
-    Raises ValueError if any weight is negative, all weights are zero, or the
-    length does not match ``dim`` when given.
-    """
-    vec = tuple(float(w) for w in weights)
-    if dim is not None and len(vec) != dim:
-        raise ValueError(f"topic vector must have length {dim}, got {len(vec)}")
-    if any(w < 0.0 for w in vec):
-        raise ValueError("topic vector weights must be non-negative")
-    if not any(w > 0.0 for w in vec):
-        raise ValueError("topic vector must have at least one positive weight")
-    return vec
-
-
 def basis_vector(dim: int, topic: int) -> TopicVector:
     return tuple(1.0 if i == topic else 0.0 for i in range(dim))
 

@@ -141,6 +141,15 @@ class TrafficMix:
             if not 0 <= lo < hi:
                 raise ConfigError(f"{path}.{name} must be a non-empty (lo, hi) range")
 
+    def validate_topics(self, topic_dim: int, path: str = "mix") -> None:
+        """Every topic range of the mix must lie within ``topic_dim`` topics."""
+        if self.benign_topics > topic_dim:
+            raise ConfigError(f"{path}.benign_topics exceeds topic_dim {topic_dim}")
+        for name in ("attack_topics", "harvest_topics"):
+            lo, hi = getattr(self, name)
+            if hi > topic_dim:
+                raise ConfigError(f"{path}.{name} ({lo}, {hi}) exceeds topic_dim {topic_dim}")
+
 
 @dataclass(frozen=True)
 class SessionPlan:
@@ -184,11 +193,7 @@ def build_population(
     impressions land on that campaign.
     """
     mix.validate()
-    if mix.benign_topics > topic_dim:
-        raise ConfigError("mix.benign_topics exceeds topic_dim")
-    for lo, hi in (mix.attack_topics, mix.harvest_topics):
-        if hi > topic_dim:
-            raise ConfigError("mix topic range exceeds topic_dim")
+    mix.validate_topics(topic_dim)
 
     agents: list[Agent] = []
     ip_regions: dict[str, int] = {}
@@ -389,13 +394,7 @@ def plan_sessions(
     return plans
 
 
-def run_traffic(
-    config,
-    broker: Broker,
-    agents: Optional[list] = None,
-    ip_regions: Optional[dict] = None,
-    blacklist=None,
-) -> tuple:
+def run_traffic(config, broker: Broker) -> tuple:
     """Drive the serve -> decide -> record loop for a whole scenario.
 
     Returns (events sorted by the documented tie order, truth map
@@ -408,59 +407,54 @@ def run_traffic(
     Raises ``ConfigError`` when an agent reaches ``MAX_PAGES_PER_AGENT``
     page views, where its ids would alias another agent's.
     """
-    if agents is None:
-        campaign_targeting = {c.advertiser_id: c.targeting for c in config.campaigns}
-        agents, ip_regions = build_population(
-            config.mix, config.topic_dim, config.seed, campaign_targeting
-        )
-    assert ip_regions is not None
+    campaign_targeting = {c.advertiser_id: c.targeting for c in config.campaigns}
+    agents, ip_regions = build_population(config.mix, config.topic_dim, config.seed, campaign_targeting)
     behavior = config.behavior
     behavior.validate()
     horizon_ms = config.horizon_days * MS_PER_DAY
-    plans = plan_sessions(agents, behavior, horizon_ms, config.diurnal, config.seed)
 
-    by_id = {a.agent_id: a for a in agents}
-    # Assign per-agent page counters in chronological order.
-    page_views: list[tuple] = []  # (t, agent_index, agent_id)
-    for plan in plans:
-        for t in plan.arrivals:
-            page_views.append((t, by_id[plan.agent_id].index, plan.agent_id))
-    page_views.sort()
-    page_counters: dict[str, int] = {}
-
-    click_rngs = {
-        a.agent_id: SplitMix64.for_stream(config.seed, STREAM_TRAFFIC, instance=(1 << 32) + a.index)
-        for a in agents
-    }
+    # The page-view schedule as (t, agent index) pairs in time order; the
+    # session plans are dropped once it is built.  ``build_population``
+    # numbers agents by position, so ``agents[i].index == i`` and per-agent
+    # state below is a list indexed the same way.
+    index_of = {a.agent_id: a.index for a in agents}
+    page_views = sorted(
+        (t, index_of[plan.agent_id])
+        for plan in plan_sessions(agents, behavior, horizon_ms, config.diurnal, config.seed)
+        for t in plan.arrivals
+    )
+    page_counters = [0] * len(agents)
+    click_rngs = [
+        SplitMix64.for_stream(config.seed, STREAM_TRAFFIC, instance=(1 << 32) + a.index) for a in agents
+    ]
 
     events: list[Event] = []
-    pending: list = []  # heap of (t_click, serial, agent_id, page_id, ad_id, ad_kind, slot)
+    pending: list = []  # heap of (t_click, serial, agent index, page_id, ad_id, ad_kind, slot)
     serial = 0
 
     def flush_pending(upto: int) -> None:
         while pending and pending[0][0] <= upto:
-            tc, _, aid, page_id, ad_id, ad_kind, slot = heapq.heappop(pending)
-            agent = by_id[aid]
-            broker.record_click(ad_id, tc, aid, page_id, ip=agent.ip, blacklist=blacklist)
+            tc, _, i, page_id, ad_id, ad_kind, slot = heapq.heappop(pending)
+            agent = agents[i]
+            broker.record_click(ad_id, tc, agent.agent_id, page_id)
             events.append(
-                Event(tc, EventType.CLICK, aid, agent.ip, page_id, ad_id, ad_kind, slot)
+                Event(tc, EventType.CLICK, agent.agent_id, agent.ip, page_id, ad_id, ad_kind, slot)
             )
 
-    for t, _, agent_id in page_views:
+    for t, i in page_views:
         flush_pending(t)
-        agent = by_id[agent_id]
-        counter = page_counters.get(agent_id, 0)
+        agent = agents[i]
+        agent_id = agent.agent_id
+        counter = page_counters[i]
         if counter >= MAX_PAGES_PER_AGENT:
             raise ConfigError(
                 f"agent {agent_id} reaches {MAX_PAGES_PER_AGENT} page views, beyond which its page ids "
                 "and injection streams alias another agent's; lower horizon_days, "
                 "behavior.pages_per_session or the sessions-per-day rates"
             )
-        page_counters[agent_id] = counter + 1
-        page_id = agent.index * 1_000_000 + counter
-        inj_rng = SplitMix64.for_stream(
-            config.seed, STREAM_INJECTION, instance=agent.index * 1_048_576 + counter
-        )
+        page_counters[i] = counter + 1
+        page_id = i * 1_000_000 + counter
+        inj_rng = SplitMix64.for_stream(config.seed, STREAM_INJECTION, instance=i * 1_048_576 + counter)
         slate = broker.serve_page(
             agent.profile, config.slots_per_page, inj_rng, t, agent_id, page_id
         )
@@ -470,12 +464,12 @@ def run_traffic(
             events.append(
                 Event(t, EventType.IMPRESSION, agent_id, agent.ip, page_id, ad.ad_id, ad.kind, slot)
             )
-        rng = click_rngs[agent_id]
+        rng = click_rngs[i]
         clicked = decide_clicks(agent, slate, behavior, rng, broker.rel)
         for slot in sorted(clicked):
             ad = slate[slot]
             delay = 1 + rng.randrange(MAX_DWELL_MS)
-            heapq.heappush(pending, (t + delay, serial, agent_id, page_id, ad.ad_id, ad.kind, slot))
+            heapq.heappush(pending, (t + delay, serial, i, page_id, ad.ad_id, ad.kind, slot))
             serial += 1
     flush_pending(1 << 62)
 

@@ -4,7 +4,6 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bluffsim.broker import Broker, Campaign, ConfigError, InjectionConfig
-from bluffsim.detection import Blacklist
 from bluffsim.domain import MAX_DWELL_MS, MS_PER_DAY, AdKind, AdUnit, basis_vector, relevance
 from bluffsim.rng import SplitMix64
 from bluffsim.traffic import TrafficMix, build_population
@@ -215,12 +214,9 @@ def test_replaced_real_ads_get_no_impression():
 # -- billing ---------------------------------------------------------------------
 
 
-def serve_and_click(broker, profile, t, agent, page, blacklist=None, ip=None):
+def serve_and_click(broker, profile, t, agent, page):
     served = broker.serve_page(profile, 4, SplitMix64.for_stream(page, 2), t, agent, page)
-    charges = [
-        broker.record_click(ad.ad_id, t + 1, agent, page, ip=ip, blacklist=blacklist)
-        for ad in served
-    ]
+    charges = [broker.record_click(ad.ad_id, t + 1, agent, page) for ad in served]
     return served, charges
 
 
@@ -317,17 +313,6 @@ def test_page_state_holds_at_most_two_dwell_windows():
         broker.serve_page(profile, 1, SplitMix64.for_stream(page, 2), page * 1000, "u", page)
         assert len(broker._pages) + len(broker._pages_prev) <= 2 * pages_per_window
     assert broker.record_click("ad-a", 9999 * 1000 + MAX_DWELL_MS, "u", 9999) == 100
-
-
-def test_blacklisted_ip_clicks_not_billed_but_metered():
-    broker = make_broker([single_ad_campaign("a", 0, 100)])
-    blacklist = Blacklist(ttl_ms=10_000)
-    blacklist.add("1.2.3.4", 0)
-    profile = basis_vector(D, 0)
-    _, charges = serve_and_click(broker, profile, 5, "u", 0, blacklist=blacklist, ip="1.2.3.4")
-    assert charges == [0]
-    assert broker.ledger.entries == []
-    assert broker.quality["ad-a"].clicks == 1
 
 
 def test_per_advertiser_daily_ledger_within_budget():

@@ -110,6 +110,15 @@ MALFORMED = [
     ("detector.fusion_weights[1]", {"detector": {"fusion_weights": [0.6, "x", 0.15]}}),
     ("detector.fusion_weights", {"detector": {"fusion_weights": [0.6, 0.4]}}),
     ("detector.min_clicks", {"detector": {"min_clicks": 2.0}}),
+    # Non-finite floats: an infinite session rate never ends a run, a NaN
+    # gap stops one mid-way, a NaN threshold scores every agent with NaN.
+    ("behavior.sessions_per_day", {"behavior": {"sessions_per_day": float("inf")}}),
+    ("behavior.page_gap_ms", {"behavior": {"page_gap_ms": float("nan")}}),
+    ("detector.divergence_threshold", {"detector": {"divergence_threshold": float("nan")}}),
+    # Topic ranges must fit in topic_dim; the default harvest range does not
+    # fit in 12 topics.
+    ("mix.attack_topics", {"mix": {"attack_topics": [10, 20]}}),
+    ("mix.harvest_topics (12, 16)", {"topic_dim": 12, "campaigns": [campaign(targeting=[1.0] + [0.0] * 11)]}),
     # Cross-field: view bots need a campaign, and their target must name one.
     ("mix.view_bot_target", {"mix": {"n_view_bot": 2, "view_bot_target": "nobody"}}),
     ("mix.n_view_bot", {"campaigns": [], "mix": {"n_view_bot": 2}}),
@@ -300,6 +309,18 @@ def test_sweep_rejects_non_integral_value_for_int_field(tmp_path, param, value):
     assert main([
         "sweep", "--config", "default-attack", "--param", param,
         "--values", f"3,{value}", "--out", str(tmp_path),
+    ]) == 2
+    assert not (tmp_path / "sweep_summary.csv").exists()
+
+
+@pytest.mark.parametrize("value", ["nan", "inf"])
+def test_sweep_rejects_non_finite_value_for_float_field(tmp_path, value):
+    param = "detector.divergence_threshold"
+    with pytest.raises(ConfigError, match=re.escape(param)):
+        sweep(small_config(), param, [0.05, float(value)])
+    assert main([
+        "sweep", "--config", "default-attack", "--param", param,
+        "--values", f"0.05,{value}", "--out", str(tmp_path),
     ]) == 2
     assert not (tmp_path / "sweep_summary.csv").exists()
 

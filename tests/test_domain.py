@@ -12,7 +12,6 @@ from bluffsim.domain import (
     basis_vector,
     event_sort_key,
     in_event_order,
-    make_topic_vector,
     relevance,
     sort_time_ties,
     validate_event_stream,
@@ -75,19 +74,6 @@ def test_relevance_scale_invariant(a, b, lam):
     a, b = tuple(a), tuple(b)
     scaled = tuple(lam * x for x in a)
     assert math.isclose(relevance(scaled, b), relevance(a, b), rel_tol=1e-9, abs_tol=1e-12)
-
-
-# -- topic vectors --------------------------------------------------------------
-
-
-def test_make_topic_vector_validation():
-    with pytest.raises(ValueError):
-        make_topic_vector([1.0, -0.1])
-    with pytest.raises(ValueError):
-        make_topic_vector([0.0, 0.0])
-    with pytest.raises(ValueError):
-        make_topic_vector([1.0], dim=2)
-    assert make_topic_vector([0.5, 0.5], dim=2) == (0.5, 0.5)
 
 
 # -- ad units --------------------------------------------------------------------
