@@ -59,7 +59,7 @@ def default_campaigns(topic_dim: int = DEFAULT_TOPIC_DIM) -> list:
     expected 10-15% share of total spend at the default mix.
     """
     if topic_dim < 12:
-        raise ConfigError("default campaigns require topic_dim >= 12")
+        raise ConfigError(f"campaigns: the default campaigns need topic_dim >= 12, got {topic_dim}; list the campaigns")
 
     def targeting(topic: int, neighbor: int) -> tuple:
         vec = [0.0] * topic_dim
@@ -101,7 +101,12 @@ class ScenarioConfig:
     behavior: BehaviorParams = field(default_factory=BehaviorParams)
     injection: InjectionConfig = field(default_factory=InjectionConfig)
     detector: DetectorConfig = field(default_factory=DetectorConfig)
-    campaigns: list[CampaignSpec] = field(default_factory=default_campaigns)
+    # None stands for ``default_campaigns(topic_dim)``, built on construction.
+    campaigns: list[CampaignSpec] = None
+
+    def __post_init__(self):
+        if self.campaigns is None:
+            self.campaigns = default_campaigns(self.topic_dim)
 
     def validate(self) -> None:
         if not 0 <= self.seed < (1 << 64):

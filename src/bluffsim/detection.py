@@ -312,14 +312,112 @@ def check_event_stream(events) -> Sequence:
     if not isinstance(events, Sequence):
         events = list(events)  # the order check must not consume an iterator
     ordered = events if in_event_order(events) else sorted(events, key=event_sort_key)
-    violations = validate_event_stream(ordered)
+    _raise_on_violations(validate_event_stream(ordered))
+    return ordered
+
+
+def _raise_on_violations(violations: list) -> None:
+    """Raise ``ValueError`` naming the first of ``violations``, if any."""
     if violations:
         first = violations[0]
         raise ValueError(
             f"event stream failed validation ({len(violations)} violations; "
             f"first at index {first.index}: {first.reason})"
         )
-    return ordered
+
+
+class EvidenceScan:
+    """Per-agent and per-IP evidence of one checked stream, fed in
+    ``event_sort_key`` order in pieces; ``evidence`` returns what the events
+    fed so far show, as if the stream ended at the last of them.
+
+    IPs whose sliding-window click count exceeds the cap are added to the
+    blacklist as the stream is scanned (the continually-updated list).
+    Region counts get one bin per region of ``reference``.
+    """
+
+    def __init__(
+        self,
+        cfg: DetectorConfig,
+        catalog: dict,
+        ip_regions: Optional[dict],
+        reference: ReferenceProfile,
+    ):
+        cfg.validate()
+        self._cfg = cfg
+        self._catalog = catalog
+        self._ip_regions = ip_regions
+        self._n_regions = len(reference.regions)
+        self._ledgers: dict[str, AgentEvidence] = {}
+        self._ip_windows: dict[str, deque] = {}
+        self._ip_max: dict[str, int] = {}
+        self._blacklist = Blacklist(cfg.blacklist_ttl_ms)
+        self._t_end = 0
+
+    def feed(self, events) -> None:
+        cfg = self._cfg
+        catalog = self._catalog
+        ip_regions = self._ip_regions
+        n_regions = self._n_regions
+        window_ms = cfg.window_ms
+        click_cap = cfg.click_cap
+        min_clicks = cfg.min_clicks
+        click = EventType.CLICK
+        ledgers = self._ledgers
+        ip_windows = self._ip_windows
+        ip_max = self._ip_max
+        blacklist = self._blacklist
+        t = self._t_end
+
+        for t, etype, agent_id, ip, _, ad_id, _, _ in events:
+            led = ledgers.get(agent_id)
+            if led is None:
+                led = ledgers[agent_id] = AgentEvidence(ip=ip, region_counts=[0] * n_regions)
+            led.ip = ip
+            if etype is not click:
+                continue
+
+            win = ip_windows.get(ip)
+            if win is None:
+                win = ip_windows[ip] = deque()
+            win.append(t)
+            while win[0] <= t - window_ms:
+                win.popleft()
+            count = len(win)
+            if count > ip_max.get(ip, 0):
+                ip_max[ip] = count
+            if count > click_cap:
+                blacklist.add(ip, t)
+
+            entry = catalog.get(ad_id)
+            if entry is None:
+                raise ValueError(f"clicked ad_id {ad_id} not present in catalog")
+            ad_kind, content = entry
+            # Only a BLUFF_B click past the evidence gate reads the observed
+            # profile; skip building it for every other click.
+            if ad_kind is AdKind.BLUFF_B and led.real_clicks >= min_clicks:
+                observed = led.observed_profile()
+            else:
+                observed = None
+            if classify_decoy_click(ad_kind, content, observed, led.real_clicks, cfg):
+                led.decoy_clicks += 1
+            led.total_clicks += 1
+            if ad_kind is AdKind.REAL:
+                if led.real_content_sum is None:
+                    led.real_content_sum = [0.0] * len(content)
+                for i, x in enumerate(content):
+                    led.real_content_sum[i] += x
+                led.real_clicks += 1
+            led.hour_counts[(t // MS_PER_HOUR) % HOURS] += 1
+            region = ip_regions.get(ip, 0) if ip_regions else 0
+            if region >= n_regions:
+                raise ValueError(f"region {region} outside reference distribution")
+            led.region_counts[region] += 1
+        self._t_end = t
+
+    def evidence(self) -> Evidence:
+        blacklisted = frozenset(ip for ip in self._ip_max if self._blacklist.check(ip, self._t_end))
+        return Evidence(self._ledgers, self._ip_max, blacklisted, accumulation_settings(self._cfg))
 
 
 def scan_evidence(
@@ -330,74 +428,12 @@ def scan_evidence(
     reference: ReferenceProfile,
 ) -> Evidence:
     """Scan a stream that ``check_event_stream`` returned into per-agent and
-    per-IP evidence.
-
-    IPs whose sliding-window click count exceeds the cap are added to the
-    blacklist as the stream is scanned (the continually-updated list).
-    Region counts get one bin per region of ``reference``.  A caller that
-    scans one stream under several settings checks it once (see
-    ``pipeline.sweep``).
+    per-IP evidence (see ``EvidenceScan``).  A caller that scans one stream
+    under several settings checks it once (see ``pipeline.sweep``).
     """
-    cfg.validate()
-    n_regions = len(reference.regions)
-    window_ms = cfg.window_ms
-    click_cap = cfg.click_cap
-    min_clicks = cfg.min_clicks
-    click = EventType.CLICK
-
-    ledgers: dict[str, AgentEvidence] = {}
-    ip_windows: dict[str, deque] = {}
-    ip_max: dict[str, int] = {}
-    blacklist = Blacklist(cfg.blacklist_ttl_ms)
-    t_end = ordered[-1].t if ordered else 0
-
-    for t, etype, agent_id, ip, _, ad_id, _, _ in ordered:
-        led = ledgers.get(agent_id)
-        if led is None:
-            led = ledgers[agent_id] = AgentEvidence(ip=ip, region_counts=[0] * n_regions)
-        led.ip = ip
-        if etype is not click:
-            continue
-
-        win = ip_windows.get(ip)
-        if win is None:
-            win = ip_windows[ip] = deque()
-        win.append(t)
-        while win[0] <= t - window_ms:
-            win.popleft()
-        count = len(win)
-        if count > ip_max.get(ip, 0):
-            ip_max[ip] = count
-        if count > click_cap:
-            blacklist.add(ip, t)
-
-        entry = catalog.get(ad_id)
-        if entry is None:
-            raise ValueError(f"clicked ad_id {ad_id} not present in catalog")
-        ad_kind, content = entry
-        # Only a BLUFF_B click past the evidence gate reads the observed
-        # profile; skip building it for every other click.
-        if ad_kind is AdKind.BLUFF_B and led.real_clicks >= min_clicks:
-            observed = led.observed_profile()
-        else:
-            observed = None
-        if classify_decoy_click(ad_kind, content, observed, led.real_clicks, cfg):
-            led.decoy_clicks += 1
-        led.total_clicks += 1
-        if ad_kind is AdKind.REAL:
-            if led.real_content_sum is None:
-                led.real_content_sum = [0.0] * len(content)
-            for i, x in enumerate(content):
-                led.real_content_sum[i] += x
-            led.real_clicks += 1
-        led.hour_counts[(t // MS_PER_HOUR) % HOURS] += 1
-        region = ip_regions.get(ip, 0) if ip_regions else 0
-        if region >= n_regions:
-            raise ValueError(f"region {region} outside reference distribution")
-        led.region_counts[region] += 1
-
-    blacklisted = frozenset(ip for ip in ip_max if blacklist.check(ip, t_end))
-    return Evidence(ledgers, ip_max, blacklisted, accumulation_settings(cfg))
+    scan = EvidenceScan(cfg, catalog, ip_regions, reference)
+    scan.feed(ordered)
+    return scan.evidence()
 
 
 def score_evidence(evidence: Evidence, cfg: DetectorConfig, reference: ReferenceProfile) -> dict:

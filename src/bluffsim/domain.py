@@ -14,9 +14,7 @@ from __future__ import annotations
 
 import enum
 import math
-from collections.abc import Sequence
 from dataclasses import dataclass
-from operator import itemgetter
 from typing import Iterable, NamedTuple, Optional
 
 DEFAULT_TOPIC_DIM = 16
@@ -139,7 +137,6 @@ class AdUnit:
     content: TopicVector
     bid_micros: int = 0
     advertiser_id: Optional[str] = None
-    created_at: int = 0
 
     def __post_init__(self):
         if self.kind is AdKind.REAL:
@@ -171,7 +168,6 @@ class Agent:
     kind: AgentKind
     profile: TopicVector
     ip: str
-    region: int
     index: int  # stable numeric key used to derive per-agent RNG substreams
 
 
@@ -209,70 +205,76 @@ def in_event_order(events: Iterable[Event]) -> bool:
     return True
 
 
-def sort_time_ties(events: list) -> None:
-    """Sort ``events`` in place into ``event_sort_key`` order, for a list
-    whose timestamps never decrease: only runs of equal ``t`` can then be out
-    of order, and each run is sorted on its own, so sort keys exist for one
-    run at a time.  If ``t`` does decrease, the whole list is sorted by
-    ``event_sort_key``.  Either way the result equals
-    ``sorted(events, key=event_sort_key)``.
-    """
-    start = 0
-    prev = None
-    # Only runs already passed are rewritten, each with as many events, so
-    # the iteration below never sees a changed position.
-    for end, t in enumerate(map(itemgetter(0), events)):
-        if t == prev:
-            continue
-        if prev is not None and t < prev:
-            events.sort(key=event_sort_key)
-            return
-        if end - start > 1:
-            run = events[start:end]
-            run.sort(key=event_sort_key)
-            events[start:end] = run
-        start, prev = end, t
-    run = events[start:]
-    run.sort(key=event_sort_key)
-    events[start:] = run
-
-
 @dataclass
 class StreamViolation:
     index: int
     reason: str
 
 
-def validate_event_stream(events: Iterable[Event]) -> list[StreamViolation]:
-    """Check ordering and click/impression pairing.
+class StreamCheck:
+    """One-pass check of ordering and click/impression pairing, fed an event
+    stream in pieces; ``violations`` lists what it found so far, with each
+    event's index in the whole stream.
 
-    Returns a list of violations (empty means the stream is well formed).
-    Every click must reference an impression with the same
-    (agent_id, page_id, ad_id) at an earlier-or-equal timestamp, and
-    timestamps must be non-decreasing.
-
-    A first pass collects the keys that clicks name; the second strikes a
-    key off at its first impression, so a click whose key is still pending
-    has no impression before it.  Only keys some click names are ever held:
-    the set grows with clicks, not with the stream.  An iterator is read into
-    a list for the two passes.
+    Timestamps must be non-decreasing, slots non-negative, and every click
+    must follow an impression with the same (agent_id, page_id, ad_id) that
+    is at most ``MAX_DWELL_MS`` older, as ``Broker.record_click`` requires.
+    Impressions are kept the way the broker keeps open pages: in two
+    generations, the older dropped when more than ``MAX_DWELL_MS`` has passed
+    since the newer began, so only impressions a later click could still
+    match are held.  For a stream whose timestamps never decrease this
+    reports exactly the clicks with no such impression before them.
     """
-    if not isinstance(events, Sequence):
-        events = list(events)
-    impression = EventType.IMPRESSION
-    # Indexing three fields costs less than unpacking all eight.
-    pending = {(e[2], e[4], e[5]) for e in events if e[1] is not impression}
-    violations: list[StreamViolation] = []
-    prev_t = None
-    for i, (t, etype, agent_id, _, page_id, ad_id, _, slot) in enumerate(events):
-        if prev_t is not None and t < prev_t:
-            violations.append(StreamViolation(i, f"timestamp {t} decreases from {prev_t}"))
-        prev_t = t
-        key = (agent_id, page_id, ad_id)
-        if etype is impression:
-            pending.discard(key)
-        elif key in pending:
-            violations.append(StreamViolation(i, f"click without matching impression: {key}"))
-        if slot < 0:
-            violations.append(StreamViolation(i, f"negative slot index {slot}"))
-    return violations
+
+    __slots__ = ("violations", "_count", "_prev_t", "_open", "_open_prev", "_rotated_at")
+
+    def __init__(self):
+        self.violations: list[StreamViolation] = []
+        self._count = 0
+        self._prev_t = None
+        self._open: dict = {}  # (agent_id, page_id, ad_id) -> t of its latest impression
+        self._open_prev: dict = {}
+        self._rotated_at = 0
+
+    def feed(self, events: Iterable[Event]) -> None:
+        impression = EventType.IMPRESSION
+        violations = self.violations
+        prev_t = self._prev_t
+        open_now = self._open
+        open_prev = self._open_prev
+        rotated_at = self._rotated_at
+        i = self._count
+        for t, etype, agent_id, _, page_id, ad_id, _, slot in events:
+            if prev_t is not None and t < prev_t:
+                violations.append(StreamViolation(i, f"timestamp {t} decreases from {prev_t}"))
+            prev_t = t
+            if t - rotated_at > MAX_DWELL_MS:
+                open_prev = open_now
+                open_now = {}
+                rotated_at = t
+            key = (agent_id, page_id, ad_id)
+            if etype is impression:
+                open_now[key] = t
+            else:
+                shown = open_now.get(key)
+                if shown is None:
+                    shown = open_prev.get(key)
+                if shown is None or t - shown > MAX_DWELL_MS:
+                    violations.append(StreamViolation(i, f"click without matching impression: {key}"))
+            if slot < 0:
+                violations.append(StreamViolation(i, f"negative slot index {slot}"))
+            i += 1
+        self._count = i
+        self._prev_t = prev_t
+        self._open = open_now
+        self._open_prev = open_prev
+        self._rotated_at = rotated_at
+
+
+def validate_event_stream(events: Iterable[Event]) -> list[StreamViolation]:
+    """Check ordering and click/impression pairing in one pass (see
+    ``StreamCheck``); returns the violations, empty for a well-formed
+    stream."""
+    check = StreamCheck()
+    check.feed(events)
+    return check.violations

@@ -113,19 +113,39 @@ class EconomicSummary:
     bluff_slot_overhead_micros: int  # score value of real ads displaced by decoys
 
 
+class ImpressionCount:
+    """Impressions and decoy impressions of an event stream, fed in pieces."""
+
+    __slots__ = ("impressions", "bluff_impressions")
+
+    def __init__(self):
+        self.impressions = 0
+        self.bluff_impressions = 0
+
+    def feed(self, events) -> None:
+        impression = EventType.IMPRESSION
+        real = AdKind.REAL
+        impressions = bluff_impressions = 0
+        for _, etype, _, _, _, _, ad_kind, _ in events:
+            if etype is impression:
+                impressions += 1
+                if ad_kind is not real:
+                    bluff_impressions += 1
+        self.impressions += impressions
+        self.bluff_impressions += bluff_impressions
+
+    def share(self) -> float:
+        """Share of the impressions that showed a decoy; 0 without
+        impressions."""
+        return self.bluff_impressions / self.impressions if self.impressions else 0.0
+
+
 def bluff_impression_share(events) -> float:
     """Share of the stream's impressions that showed a decoy; 0 without
     impressions."""
-    impressions = 0
-    bluff_impressions = 0
-    impression = EventType.IMPRESSION
-    real = AdKind.REAL
-    for _, etype, _, _, _, _, ad_kind, _ in events:
-        if etype is impression:
-            impressions += 1
-            if ad_kind is not real:
-                bluff_impressions += 1
-    return bluff_impressions / impressions if impressions else 0.0
+    counts = ImpressionCount()
+    counts.feed(events)
+    return counts.share()
 
 
 def economics(ledger, reports: dict, truth: dict, overhead_micros: int, bluff_share: float) -> EconomicSummary:

@@ -18,17 +18,20 @@ from typing import Optional
 from .broker import Broker, Campaign, ConfigError
 from .config import ScenarioConfig, _check, _field_types, dump_config
 from .detection import (
+    EvidenceScan,
     ReferenceProfile,
+    _raise_on_violations,
     accumulation_settings,
     check_event_stream,
     run_detection,
     scan_evidence,
     score_evidence,
 )
-from .domain import AdKind, AdUnit
+from .domain import AdKind, AdUnit, StreamCheck
 from .metrics import (
     Confusion,
     EconomicSummary,
+    ImpressionCount,
     bluff_impression_share,
     confusion,
     economics,
@@ -37,7 +40,7 @@ from .metrics import (
     recall,
     roc_points,
 )
-from .traffic import run_traffic
+from .traffic import _serve, run_traffic
 
 SUMMARY_METRICS = (
     "precision",
@@ -54,10 +57,11 @@ SUMMARY_METRICS = (
 
 @dataclass
 class RunResult:
-    """In-memory outputs of one scenario run."""
+    """In-memory outputs of one scenario run.  ``events`` is None when
+    ``run`` wrote them to events.jsonl as they were made."""
 
     config: ScenarioConfig
-    events: list
+    events: Optional[list]
     truth: dict
     ip_regions: dict
     reports: dict
@@ -137,10 +141,17 @@ def _evaluate(config: ScenarioConfig, broker: Broker, events, truth, ip_regions,
 
 
 def _atomic_write(path: Path, write_fn) -> None:
+    """Write ``path`` through ``write_fn(fh)`` into a temp file renamed over
+    it; if ``write_fn`` raises, the temp file is removed and ``path`` is left
+    as it was."""
     tmp = path.with_name(path.name + ".tmp")
-    with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-        write_fn(fh)
-    os.replace(tmp, path)
+    try:
+        with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
+            write_fn(fh)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def _fmt(value) -> str:
@@ -161,7 +172,31 @@ class _JsonStrings(dict):
         return literal
 
 
+class _EventLines:
+    """Writes events to ``fh`` as events.jsonl lines, fed in pieces.
+
+    Each line is what json.dumps(record, separators=(",", ":")) would give,
+    built directly: ints as written, strings (enum members by their value)
+    as json.dumps literals, memoised since ids repeat.
+    """
+
+    def __init__(self, fh):
+        self._write = fh.write
+        self._q = _JsonStrings()
+
+    def feed(self, events) -> None:
+        write = self._write
+        q = self._q
+        for t, etype, agent_id, ip, page_id, ad_id, ad_kind, slot in events:
+            write(
+                f'{{"t":{t},"etype":{q[etype._value_]},"agent_id":{q[agent_id]},"ip":{q[ip]},'
+                f'"page_id":{page_id},"ad_id":{q[ad_id]},"ad_kind":{q[ad_kind._value_]},"slot":{slot}}}\n'
+            )
+
+
 def write_outputs(result: RunResult, out_dir) -> RunOutputs:
+    """Write the five output files of ``result``; events.jsonl only when
+    ``result`` holds its events (``run`` writes it as the run goes)."""
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     events_path = out / "events.jsonl"
@@ -169,17 +204,6 @@ def write_outputs(result: RunResult, out_dir) -> RunOutputs:
     verdicts_path = out / "verdicts.csv"
     summary_path = out / "summary.csv"
     config_path = out / "config.yaml"
-
-    def write_events(fh):
-        # The line json.dumps(record, separators=(",", ":")) would give, built
-        # directly: ints as written, strings (enum members by their value)
-        # as json.dumps literals, memoised since ids repeat.
-        q = _JsonStrings()
-        for t, etype, agent_id, ip, page_id, ad_id, ad_kind, slot in result.events:
-            fh.write(
-                f'{{"t":{t},"etype":{q[etype._value_]},"agent_id":{q[agent_id]},"ip":{q[ip]},'
-                f'"page_id":{page_id},"ad_id":{q[ad_id]},"ad_kind":{q[ad_kind._value_]},"slot":{slot}}}\n'
-            )
 
     def write_truth(fh):
         fh.write("agent_id,kind\n")
@@ -215,7 +239,8 @@ def write_outputs(result: RunResult, out_dir) -> RunOutputs:
     def write_config(fh):
         fh.write(dump_config(result.config))
 
-    _atomic_write(events_path, write_events)
+    if result.events is not None:
+        _atomic_write(events_path, lambda fh: _EventLines(fh).feed(result.events))
     _atomic_write(truth_path, write_truth)
     _atomic_write(verdicts_path, write_verdicts)
     _atomic_write(summary_path, write_summary)
@@ -224,9 +249,37 @@ def write_outputs(result: RunResult, out_dir) -> RunOutputs:
 
 
 def run(config: ScenarioConfig, out_dir) -> RunOutputs:
-    """Full pipeline plus file outputs."""
-    result = run_scenario(config)
-    return write_outputs(result, out_dir)
+    """Full pipeline plus file outputs, in one pass over the event stream.
+
+    Each batch of events the serve loop yields, already in final order, is
+    checked, scanned for detection evidence, counted for the bluff
+    impression share and written to events.jsonl, then dropped: no events
+    list is built.  The files equal ``write_outputs(run_scenario(config))``.
+    A run that fails removes its temp file and leaves events.jsonl as it was.
+    """
+    config.validate()
+    out = Path(out_dir)
+    out.mkdir(parents=True, exist_ok=True)
+    broker = build_broker(config)
+    reference = _reference(config)
+    truth, ip_regions, batches = _serve(config, broker)
+    check = StreamCheck()
+    scan = EvidenceScan(config.detector, broker.catalog(), ip_regions, reference)
+    counts = ImpressionCount()
+
+    def write_events(fh):
+        lines = _EventLines(fh)
+        for batch in batches:
+            check.feed(batch)
+            _raise_on_violations(check.violations)
+            scan.feed(batch)
+            counts.feed(batch)
+            lines.feed(batch)
+
+    _atomic_write(out / "events.jsonl", write_events)
+    reports = score_evidence(scan.evidence(), config.detector, reference)
+    result = _evaluate(config, broker, None, truth, ip_regions, reports, counts.share())
+    return write_outputs(result, out)
 
 
 # -- parameter sweeps -----------------------------------------------------------

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Optional
 
 from .broker import Broker, ConfigError
@@ -25,7 +26,7 @@ from .domain import (
     EventType,
     RelevanceCache,
     TopicVector,
-    sort_time_ties,
+    event_sort_key,
 )
 from .rng import (
     STREAM_INJECTION,
@@ -40,6 +41,7 @@ MAX_BOT_IP_GROUPS = 1 << 20  # 172.16.0.0/12, one address per bot IP group
 # injection streams (stride 2^20 per agent) would alias the next agent's
 # beyond this.
 MAX_PAGES_PER_AGENT = 1_000_000
+_AD_ID = itemgetter(5)  # Event.ad_id
 
 
 @dataclass
@@ -200,10 +202,9 @@ def build_population(
     index = 0
     bot_ip_serial = 0
 
-    def region_for(ip: str, rng: SplitMix64) -> int:
+    def region_for(ip: str, rng: SplitMix64) -> None:
         if ip not in ip_regions:
             ip_regions[ip] = rng.randrange(mix.region_count) if mix.region_count > 1 else 0
-        return ip_regions[ip]
 
     view_target_vec = None
     if campaign_targeting:
@@ -261,17 +262,8 @@ def build_population(
                 group = bot_ip_serial // mix.ip_sharing_factor
                 ip = f"172.{16 + (group >> 16)}.{(group >> 8) & 0xFF}.{group & 0xFF}"
                 bot_ip_serial += 1
-            region = region_for(ip, rng)
-            agents.append(
-                Agent(
-                    agent_id=f"u{index:06d}",
-                    kind=kind,
-                    profile=profile,
-                    ip=ip,
-                    region=region,
-                    index=index,
-                )
-            )
+            region_for(ip, rng)
+            agents.append(Agent(agent_id=f"u{index:06d}", kind=kind, profile=profile, ip=ip, index=index))
             index += 1
     return agents, ip_regions
 
@@ -353,21 +345,32 @@ def plan_sessions(
     diurnal: tuple,
     seed: int,
 ) -> list:
-    """Session plans for every agent over the horizon.
+    """Session plans for every agent over the horizon (see ``_sessions``),
+    sorted by first arrival."""
+    plans = [
+        SessionPlan(agent_id=agent.agent_id, arrivals=arrivals)
+        for agent, arrivals in _sessions(agents, behavior, horizon_ms, diurnal, seed)
+    ]
+    plans.sort(key=lambda p: (p.arrivals[0], p.agent_id))
+    return plans
+
+
+def _sessions(agents: list, behavior: BehaviorParams, horizon_ms: int, diurnal: tuple, seed: int):
+    """Yields (agent, page-view timestamps) for every session over the
+    horizon, agent by agent, each agent's sessions by start.
 
     Benign (and mimicking bot) session starts follow a per-day Poisson count
     placed by the diurnal hour weights; random bots, harvesters and view bots
     arrive uniformly over the horizon.  Pages within a session are spaced by
-    exponential gaps.  Plans are sorted by first arrival.
+    exponential gaps, so a session's timestamps strictly increase.
     """
     if not agents:
         raise ConfigError("cannot plan sessions for an empty population")
     if len(diurnal) != 24 or any(w < 0 for w in diurnal) or not any(w > 0 for w in diurnal):
         raise ConfigError("diurnal curve must be 24 non-negative weights, not all zero")
     if horizon_ms <= 0:
-        return []
+        return
     days = horizon_ms // MS_PER_DAY
-    plans: list[SessionPlan] = []
     for agent in agents:
         rng = SplitMix64.for_stream(seed, STREAM_TRAFFIC, instance=agent.index)
         rate = _session_rate(agent.kind, behavior)
@@ -389,46 +392,98 @@ def plan_sessions(
             for _ in range(behavior.pages_per_session - 1):
                 t += max(1, int(round(rng.expovariate(behavior.page_gap_ms))))
                 arrivals.append(t)
-            plans.append(SessionPlan(agent_id=agent.agent_id, arrivals=tuple(arrivals)))
-    plans.sort(key=lambda p: (p.arrivals[0], p.agent_id))
-    return plans
+            yield agent, tuple(arrivals)
 
 
 def run_traffic(config, broker: Broker) -> tuple:
     """Drive the serve -> decide -> record loop for a whole scenario.
 
-    Returns (events sorted by the documented tie order, truth map
-    agent_id -> AgentKind, ip_regions).  Billing happens in strict timestamp
-    order: clicks are queued with their dwell delay and billed before any
-    later page is served, so daily budget resets see monotone time and the
-    broker can drop pages no click can reach any more.  Events are appended
-    in non-decreasing time, so only runs of equal timestamps get sorted.
+    Returns (events in ``event_sort_key`` order, truth map agent_id ->
+    AgentKind, ip_regions).  The events are those ``_serve`` yields, gathered
+    in one list; it raises the same ``ConfigError``.
+    """
+    truth, ip_regions, batches = _serve(config, broker)
+    events: list[Event] = []
+    for batch in batches:
+        events += batch
+    return events, truth, ip_regions
 
-    Raises ``ConfigError`` when an agent reaches ``MAX_PAGES_PER_AGENT``
-    page views, where its ids would alias another agent's.
+
+def _serve(config, broker: Broker) -> tuple:
+    """The population of a scenario and an iterator over its traffic:
+    (truth map agent_id -> AgentKind, ip_regions, batches).
+
+    Iterating ``batches`` runs the serve -> decide -> record loop and yields
+    the events in ``event_sort_key`` order, in lists of whole groups of
+    equal ``t``, so a consumer can check, scan or write the stream as it is
+    made without holding it.  Billing happens in strict timestamp order:
+    clicks are queued with their dwell delay and billed before any later
+    page is served, so daily budget resets see monotone time and the broker
+    can drop pages no click can reach any more.
+
+    Raises ``ConfigError``, while iterating, when an agent reaches
+    ``MAX_PAGES_PER_AGENT`` page views, where its ids would alias another
+    agent's.
     """
     campaign_targeting = {c.advertiser_id: c.targeting for c in config.campaigns}
     agents, ip_regions = build_population(config.mix, config.topic_dim, config.seed, campaign_targeting)
-    behavior = config.behavior
-    behavior.validate()
-    horizon_ms = config.horizon_days * MS_PER_DAY
+    config.behavior.validate()
+    truth = {a.agent_id: a.kind for a in agents}
+    return truth, ip_regions, _event_batches(config, broker, agents)
 
-    # The page-view schedule as (t, agent index) pairs in time order; the
-    # session plans are dropped once it is built.  ``build_population``
-    # numbers agents by position, so ``agents[i].index == i`` and per-agent
-    # state below is a list indexed the same way.
-    index_of = {a.agent_id: a.index for a in agents}
+
+# Events are handed on in batches, at the first group boundary past this
+# many: a buffer that does not grow with the run, and few hand-offs.  One
+# hand-off per page view made a 5-day default-attack ``run`` about 15%
+# slower in CPU time.
+_BATCH_EVENTS = 512
+
+
+def _event_batches(config, broker: Broker, agents: list):
+    """The serve loop of ``_serve``: yields lists of events in final order.
+
+    Events are made in units with non-decreasing ``t``: one page's
+    impressions, already in ``event_sort_key`` order (ad_id order, slot order
+    among repeated ids), or one click.  Units at the same ``t`` gather in a
+    group; a group is sorted only when it holds more than one unit, that is
+    when a click or another page shares its millisecond.
+    """
+    behavior = config.behavior
+    horizon_ms = config.horizon_days * MS_PER_DAY
+    # The page-view schedule in time order, agent index breaking ties, with
+    # each page view (t, i) held as the one int t * n + i: a third of the
+    # memory of a pair.  ``build_population`` numbers agents by position, so
+    # ``agents[i].index == i`` and per-agent state below is a list indexed
+    # the same way.
+    n = len(agents)
     page_views = sorted(
-        (t, index_of[plan.agent_id])
-        for plan in plan_sessions(agents, behavior, horizon_ms, config.diurnal, config.seed)
-        for t in plan.arrivals
+        t * n + agent.index
+        for agent, arrivals in _sessions(agents, behavior, horizon_ms, config.diurnal, config.seed)
+        for t in arrivals
     )
-    page_counters = [0] * len(agents)
+    page_counters = [0] * n
     click_rngs = [
         SplitMix64.for_stream(config.seed, STREAM_TRAFFIC, instance=(1 << 32) + a.index) for a in agents
     ]
+    impression = EventType.IMPRESSION
+    click = EventType.CLICK
 
-    events: list[Event] = []
+    batch: list[Event] = []  # whole groups, in final order
+    group: list[Event] = []  # the units at time group_t, as made
+    group_t = None
+    tied = False  # whether the group holds more than one unit
+
+    def add(t: int, unit: list) -> None:
+        nonlocal group, group_t, tied
+        if t == group_t:
+            group += unit
+            tied = True
+            return
+        if tied:
+            group.sort(key=event_sort_key)
+        batch.extend(group)
+        group, group_t, tied = unit, t, False
+
     pending: list = []  # heap of (t_click, serial, agent index, page_id, ad_id, ad_kind, slot)
     serial = 0
 
@@ -437,12 +492,14 @@ def run_traffic(config, broker: Broker) -> tuple:
             tc, _, i, page_id, ad_id, ad_kind, slot = heapq.heappop(pending)
             agent = agents[i]
             broker.record_click(ad_id, tc, agent.agent_id, page_id)
-            events.append(
-                Event(tc, EventType.CLICK, agent.agent_id, agent.ip, page_id, ad_id, ad_kind, slot)
-            )
+            add(tc, [Event(tc, click, agent.agent_id, agent.ip, page_id, ad_id, ad_kind, slot)])
 
-    for t, i in page_views:
+    for view in page_views:
+        t, i = divmod(view, n)
         flush_pending(t)
+        if len(batch) >= _BATCH_EVENTS:
+            yield batch
+            batch = []
         agent = agents[i]
         agent_id = agent.agent_id
         counter = page_counters[i]
@@ -460,10 +517,12 @@ def run_traffic(config, broker: Broker) -> tuple:
         )
         if not slate:
             continue
-        for slot, ad in enumerate(slate):
-            events.append(
-                Event(t, EventType.IMPRESSION, agent_id, agent.ip, page_id, ad.ad_id, ad.kind, slot)
-            )
+        unit = [
+            Event(t, impression, agent_id, agent.ip, page_id, ad.ad_id, ad.kind, slot)
+            for slot, ad in enumerate(slate)
+        ]
+        unit.sort(key=_AD_ID)
+        add(t, unit)
         rng = click_rngs[i]
         clicked = decide_clicks(agent, slate, behavior, rng, broker.rel)
         for slot in sorted(clicked):
@@ -472,7 +531,5 @@ def run_traffic(config, broker: Broker) -> tuple:
             heapq.heappush(pending, (t + delay, serial, i, page_id, ad.ad_id, ad.kind, slot))
             serial += 1
     flush_pending(1 << 62)
-
-    sort_time_ties(events)
-    truth = {a.agent_id: a.kind for a in agents}
-    return events, truth, ip_regions
+    add(None, [])  # closes the last group
+    yield batch

@@ -125,6 +125,24 @@ MALFORMED = [
 ]
 
 
+@pytest.mark.parametrize("topic_dim,mix", [(12, {"harvest_topics": [10, 12]}), (20, {})])
+def test_default_campaigns_follow_topic_dim(tmp_path, topic_dim, mix):
+    source = write_config(tmp_path, {"topic_dim": topic_dim, "mix": mix})
+    cfg = load_config(source)
+    assert len(cfg.campaigns) == 24
+    assert all(len(c.targeting) == topic_dim for c in cfg.campaigns)
+    assert main(["run", "--config", source, "--dry-run"]) == 0
+
+
+def test_default_campaigns_refused_below_12_topics(tmp_path, capsys):
+    mix = {"benign_topics": 6, "attack_topics": [6, 7], "harvest_topics": [7, 8]}
+    source = write_config(tmp_path, {"topic_dim": 8, "mix": mix})
+    with pytest.raises(ConfigError, match=r"^campaigns: the default campaigns need topic_dim >= 12"):
+        load_config(source)
+    assert main(["run", "--config", source, "--dry-run"]) == 2
+    assert "campaigns" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("path,data", MALFORMED, ids=[path for path, _ in MALFORMED])
 def test_malformed_value_names_its_path(tmp_path, capsys, path, data):
     source = write_config(tmp_path, data)

@@ -5,6 +5,7 @@ from hypothesis import given, strategies as st
 
 from bluffsim.domain import (
     EPSILON_BLUFF,
+    MAX_DWELL_MS,
     AdKind,
     AdUnit,
     Event,
@@ -13,7 +14,6 @@ from bluffsim.domain import (
     event_sort_key,
     in_event_order,
     relevance,
-    sort_time_ties,
     validate_event_stream,
 )
 
@@ -206,34 +206,54 @@ def test_validate_event_stream_matches_brute_force(rows):
     assert [(v.index, v.reason) for v in validate_event_stream(e for e in events)] == expected
 
 
+def reference_dwell_violations(events):
+    """Brute force with the dwell rule: a click needs an earlier impression
+    of its key at most ``MAX_DWELL_MS`` older; remembers every impression."""
+    out = []
+    shown = {}
+    prev_t = None
+    for i, e in enumerate(events):
+        if prev_t is not None and e.t < prev_t:
+            out.append((i, f"timestamp {e.t} decreases from {prev_t}"))
+        prev_t = e.t
+        key = (e.agent_id, e.page_id, e.ad_id)
+        if e.etype is EventType.IMPRESSION:
+            shown.setdefault(key, []).append(e.t)
+        elif not any(e.t - t <= MAX_DWELL_MS for t in shown.get(key, ())):
+            out.append((i, f"click without matching impression: {key}"))
+        if e.slot < 0:
+            out.append((i, f"negative slot index {e.slot}"))
+    return out
+
+
 @given(
-    st.booleans(),
     st.lists(
         st.tuples(
-            st.integers(0, 3),
+            st.sampled_from([0, 1, 1000, MAX_DWELL_MS - 1, MAX_DWELL_MS, MAX_DWELL_MS + 1, 3 * MAX_DWELL_MS]),
             st.sampled_from(list(EventType)),
-            st.sampled_from(["u1", "u2", "u3"]),
-            st.sampled_from(["ad-1", "ad-2", "ad-3"]),
+            st.sampled_from(["u1", "u2"]),
             st.integers(0, 2),
+            st.sampled_from(["ad-1", "ad-2"]),
+            st.integers(-1, 2),
         ),
         max_size=30,
-    ),
+    )
 )
-def test_sort_time_ties_matches_full_sort(monotone, rows):
-    # Monotone streams step t by 0 or 1, so most events share a timestamp;
-    # the others take t as drawn, so t may decrease.
+def test_validate_event_stream_matches_dwell_reference(rows):
+    # Steps of 0 to 3 dwell windows between events: t spans many windows,
+    # clicks land just inside and just outside the window of their
+    # impression, and impressions age out of both generations.
     events = []
     t = 0
-    for step, etype, agent, ad, page in rows:
-        t = t + min(step, 1) if monotone else step
-        events.append(Event(t, etype, agent, "10.0.0.1", page, ad, AdKind.REAL, 0))
-    ordered = list(events)
-    sort_time_ties(ordered)
-    assert ordered == sorted(events, key=event_sort_key)
+    for step, etype, agent, page, ad, slot in rows:
+        t += step
+        events.append(Event(t, etype, agent, "10.0.0.1", page, ad, AdKind.REAL, slot))
+    assert [(v.index, v.reason) for v in validate_event_stream(events)] == reference_dwell_violations(events)
 
 
-def test_sort_time_ties_falls_back_when_t_decreases():
-    events = [clk(2, ad="ad-2"), imp(2, ad="ad-2"), imp(1, ad="ad-3"), imp(1, ad="ad-1")]
-    ordered = list(events)
-    sort_time_ties(ordered)
-    assert ordered == [imp(1, ad="ad-1"), imp(1, ad="ad-3"), imp(2, ad="ad-2"), clk(2, ad="ad-2")]
+def test_click_after_dwell_window_is_violation():
+    assert validate_event_stream([imp(10), clk(10 + MAX_DWELL_MS)]) == []
+    violations = validate_event_stream([imp(10), clk(11 + MAX_DWELL_MS)])
+    assert [(v.index, v.reason) for v in violations] == [
+        (1, "click without matching impression: ('u1', 0, 'ad-1')")
+    ]

@@ -1,4 +1,5 @@
 import functools
+import itertools
 import math
 
 import pytest
@@ -19,10 +20,11 @@ from bluffsim.domain import (
     EventType,
     RelevanceCache,
     basis_vector,
+    event_sort_key,
     relevance,
     validate_event_stream,
 )
-from bluffsim.pipeline import build_broker, run_scenario
+from bluffsim.pipeline import build_broker, run, run_scenario
 from bluffsim.rng import SplitMix64
 from bluffsim.traffic import (
     BehaviorParams,
@@ -44,7 +46,6 @@ def agent_of(kind, profile=None, index=0):
         kind=kind,
         profile=profile or basis_vector(D, 0),
         ip="10.9.9.9",
-        region=0,
         index=index,
     )
 
@@ -146,7 +147,7 @@ def test_unknown_agent_kind_rejected():
     class FakeKind:
         pass
 
-    agent = Agent("x", FakeKind(), basis_vector(D, 0), "10.0.0.1", 0, 0)
+    agent = Agent("x", FakeKind(), basis_vector(D, 0), "10.0.0.1", 0)
     with pytest.raises(ValueError):
         decide_clicks(agent, [real_for(0)], BehaviorParams(), SplitMix64.for_stream(1, 1), RelevanceCache())
 
@@ -400,16 +401,55 @@ def test_click_delays_within_dwell_bound():
     assert 1 <= min(delays) and max(delays) <= MAX_DWELL_MS
 
 
+def most_page_views(cfg):
+    agents, _ = build_population(cfg.mix, cfg.topic_dim, cfg.seed)
+    views = {}
+    for plan in plan_sessions(agents, cfg.behavior, cfg.horizon_days * MS_PER_DAY, cfg.diurnal, cfg.seed):
+        views[plan.agent_id] = views.get(plan.agent_id, 0) + len(plan.arrivals)
+    return max(views.values())
+
+
 def test_pages_per_agent_limit_raises_config_error(monkeypatch):
     cfg = one_day_attack()
     events, _, _ = run_traffic(cfg, build_broker(cfg))
-    agents, _ = build_population(cfg.mix, cfg.topic_dim, cfg.seed)
-    views = {}
-    for plan in plan_sessions(agents, cfg.behavior, MS_PER_DAY, cfg.diurnal, cfg.seed):
-        views[plan.agent_id] = views.get(plan.agent_id, 0) + len(plan.arrivals)
-    most = max(views.values())
+    most = most_page_views(cfg)
     monkeypatch.setattr(traffic, "MAX_PAGES_PER_AGENT", most)
     assert run_traffic(cfg, build_broker(cfg))[0] == events
     monkeypatch.setattr(traffic, "MAX_PAGES_PER_AGENT", most - 1)
     with pytest.raises(ConfigError, match=r"horizon_days.*behavior\.pages_per_session"):
         run_traffic(cfg, build_broker(cfg))
+
+
+def test_pages_per_agent_limit_stops_a_streamed_run_without_leftovers(monkeypatch, tmp_path):
+    # pipeline.run is writing events.jsonl when the limit stops the serve loop.
+    cfg = one_day_attack()
+    monkeypatch.setattr(traffic, "MAX_PAGES_PER_AGENT", most_page_views(cfg) - 1)
+    with pytest.raises(ConfigError, match="MAX_PAGES_PER_AGENT|page views"):
+        run(cfg, tmp_path)
+    assert not (tmp_path / "events.jsonl").exists()
+    assert list(tmp_path.glob("*.tmp")) == []
+
+
+def test_emitted_order_is_event_sort_key_order_with_cross_page_ties():
+    # Trained bots crowd one diurnal hour in sessions of pages 1-2 ms apart
+    # and click nearly every ad, so pages share a millisecond with other
+    # pages and with clicks, and the tie groups need sorting.
+    cfg = small_config(horizon_days=1)
+    cfg.mix.n_benign = 20
+    cfg.mix.n_random_bot = 0
+    cfg.mix.n_trained_bot = 20
+    cfg.behavior.bot_click_rate = 0.9
+    cfg.behavior.bot_sessions_per_day = 60.0
+    cfg.behavior.pages_per_session = 10
+    cfg.behavior.page_gap_ms = 2.0
+    cfg.diurnal = tuple(1.0 if h == 9 else 0.0 for h in range(24))
+    events, _, _ = run_traffic(cfg, build_broker(cfg))
+    page_ties = click_ties = 0
+    for _, group in itertools.groupby(events, key=lambda e: e.t):
+        group = list(group)
+        pages = {(e.agent_id, e.page_id) for e in group}
+        shown = {(e.agent_id, e.page_id) for e in group if e.etype is EventType.IMPRESSION}
+        page_ties += len(shown) > 1
+        click_ties += len(pages) > 1 and any(e.etype is EventType.CLICK for e in group)
+    assert page_ties > 0 and click_ties > 0
+    assert events == sorted(events, key=event_sort_key)
