@@ -14,12 +14,11 @@ from .config import (
 from .detection import (
     Blacklist,
     DetectorConfig,
+    EvidenceScan,
     ReferenceProfile,
     SuspicionReport,
     binom_tail_pvalue,
-    check_event_stream,
     run_detection,
-    scan_evidence,
     score_evidence,
 )
 from .domain import (
@@ -47,12 +46,10 @@ from .pipeline import RunResult, RunOutputs, run, run_scenario, sweep
 from .rng import SplitMix64
 from .traffic import (
     BehaviorParams,
-    SessionPlan,
     TrafficMix,
     benign_click_prob,
     build_population,
     decide_clicks,
-    plan_sessions,
     run_traffic,
 )
 

@@ -67,7 +67,7 @@ class Campaign:
         return self.daily_budget_micros - self.spent_today_micros
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class LedgerEntry:
     t: int
     advertiser_id: str
@@ -86,9 +86,6 @@ class BillingLedger:
 
     def append(self, entry: LedgerEntry) -> None:
         self.entries.append(entry)
-
-    def total_micros(self) -> int:
-        return sum(e.amount_micros for e in self.entries)
 
     def per_advertiser_day(self) -> dict:
         """Map (advertiser_id, day_index) -> total charged that day."""
@@ -343,9 +340,6 @@ class Broker:
         assert campaign.spent_today_micros <= campaign.daily_budget_micros
         self.ledger.append(LedgerEntry(t, campaign.advertiser_id, ad_id, charge, agent_id))
         return charge
-
-    def get_quality(self, ad_id: str) -> float:
-        return self.quality[ad_id].q
 
     # -- views for downstream consumers --------------------------------------
 

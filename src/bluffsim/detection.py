@@ -302,20 +302,6 @@ class Evidence:
     settings: tuple
 
 
-def check_event_stream(events) -> Sequence:
-    """``events`` in ``event_sort_key`` order, once ``validate_event_stream``
-    finds no violation; raises ``ValueError`` naming the first one otherwise.
-
-    The stream is sorted only when it is out of order, into a new list; the
-    caller's list is never modified.  An iterator is read into a list first.
-    """
-    if not isinstance(events, Sequence):
-        events = list(events)  # the order check must not consume an iterator
-    ordered = events if in_event_order(events) else sorted(events, key=event_sort_key)
-    _raise_on_violations(validate_event_stream(ordered))
-    return ordered
-
-
 def _raise_on_violations(violations: list) -> None:
     """Raise ``ValueError`` naming the first of ``violations``, if any."""
     if violations:
@@ -420,22 +406,6 @@ class EvidenceScan:
         return Evidence(self._ledgers, self._ip_max, blacklisted, accumulation_settings(self._cfg))
 
 
-def scan_evidence(
-    ordered: Sequence,
-    cfg: DetectorConfig,
-    catalog: dict,
-    ip_regions: Optional[dict],
-    reference: ReferenceProfile,
-) -> Evidence:
-    """Scan a stream that ``check_event_stream`` returned into per-agent and
-    per-IP evidence (see ``EvidenceScan``).  A caller that scans one stream
-    under several settings checks it once (see ``pipeline.sweep``).
-    """
-    scan = EvidenceScan(cfg, catalog, ip_regions, reference)
-    scan.feed(ordered)
-    return scan.evidence()
-
-
 def score_evidence(evidence: Evidence, cfg: DetectorConfig, reference: ReferenceProfile) -> dict:
     """Score every agent of ``evidence`` and fuse the scores into verdicts.
 
@@ -487,21 +457,27 @@ def run_detection(
     ip_regions: Optional[dict] = None,
     reference: Optional[ReferenceProfile] = None,
 ) -> dict:
-    """Check the event stream, scan it once, then score each agent:
-    ``score_evidence(scan_evidence(check_event_stream(events), ...))``.
+    """Check the event stream, scan it once with ``EvidenceScan``, then
+    score each agent with ``score_evidence``; raises ``ValueError`` naming
+    the first violation ``validate_event_stream`` finds.
 
+    The stream is sorted into ``event_sort_key`` order only when it is out
+    of order, into a new list; the caller's list is never modified.
     ``catalog`` maps ad_id -> (AdKind, content vector); it is the broker's
     own inventory knowledge.  ``ip_regions`` maps IP -> region bucket
     (broker-side geolocation).  Without a ``reference``, the benign model is
     flat over the hours and over the regions ``ip_regions`` names.  Pure
     function of its inputs; ground-truth agent kinds are deliberately not an
-    input.  A caller that scores one stream under several configurations
-    checks it once with ``check_event_stream``, re-scans it with
-    ``scan_evidence`` only when ``accumulation_settings`` change, and scores
-    each configuration with ``score_evidence`` (see ``pipeline.sweep``).
+    input.
     """
     if reference is None:
         region_count = (max(ip_regions.values()) + 1) if ip_regions else 1
         reference = ReferenceProfile.from_config((1.0,) * HOURS, region_count)
-    evidence = scan_evidence(check_event_stream(events), cfg, catalog, ip_regions, reference)
-    return score_evidence(evidence, cfg, reference)
+    if not isinstance(events, Sequence):
+        events = list(events)  # the order check must not consume an iterator
+    if not in_event_order(events):
+        events = sorted(events, key=event_sort_key)
+    _raise_on_violations(validate_event_stream(events))
+    scan = EvidenceScan(cfg, catalog, ip_regions, reference)
+    scan.feed(events)
+    return score_evidence(scan.evidence(), cfg, reference)

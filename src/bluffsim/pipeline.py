@@ -22,9 +22,7 @@ from .detection import (
     ReferenceProfile,
     _raise_on_violations,
     accumulation_settings,
-    check_event_stream,
     run_detection,
-    scan_evidence,
     score_evidence,
 )
 from .domain import AdKind, AdUnit, StreamCheck
@@ -57,8 +55,9 @@ SUMMARY_METRICS = (
 
 @dataclass
 class RunResult:
-    """In-memory outputs of one scenario run.  ``events`` is None when
-    ``run`` wrote them to events.jsonl as they were made."""
+    """In-memory outputs of one scenario run.  ``events`` is None when the
+    run kept none: ``run`` writes them to events.jsonl as they are made, and
+    a detector-side ``sweep`` only scans them."""
 
     config: ScenarioConfig
     events: Optional[list]
@@ -140,18 +139,19 @@ def _evaluate(config: ScenarioConfig, broker: Broker, events, truth, ip_regions,
     return RunResult(config, events, truth, ip_regions, reports, conf, econ, auc, broker)
 
 
-def _atomic_write(path: Path, write_fn) -> None:
+def _atomic_write(path: Path, write_fn):
     """Write ``path`` through ``write_fn(fh)`` into a temp file renamed over
-    it; if ``write_fn`` raises, the temp file is removed and ``path`` is left
-    as it was."""
+    it, and return what ``write_fn`` returned; if ``write_fn`` raises, the
+    temp file is removed and ``path`` is left as it was."""
     tmp = path.with_name(path.name + ".tmp")
     try:
         with open(tmp, "w", encoding="utf-8", newline="\n") as fh:
-            write_fn(fh)
+            result = write_fn(fh)
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
         raise
+    return result
 
 
 def _fmt(value) -> str:
@@ -248,38 +248,47 @@ def write_outputs(result: RunResult, out_dir) -> RunOutputs:
     return RunOutputs(out, events_path, truth_path, verdicts_path, summary_path, config_path)
 
 
-def run(config: ScenarioConfig, out_dir) -> RunOutputs:
-    """Full pipeline plus file outputs, in one pass over the event stream.
+def _stream(config: ScenarioConfig, broker: Broker, detectors: list, sink) -> tuple:
+    """Serve the traffic of ``config`` through ``broker`` in one pass.
 
     Each batch of events the serve loop yields, already in final order, is
-    checked, scanned for detection evidence, counted for the bluff
-    impression share and written to events.jsonl, then dropped: no events
-    list is built.  The files equal ``write_outputs(run_scenario(config))``.
-    A run that fails removes its temp file and leaves events.jsonl as it was.
+    checked (raising ``ValueError`` on the first violation), scanned for
+    evidence under each of ``detectors``, counted for the bluff impression
+    share and handed to ``sink``, then dropped: no events list is built.
+    Returns (truth, ip_regions, one ``Evidence`` per detector, share).
+    """
+    truth, ip_regions, batches = _serve(config, broker)
+    check = StreamCheck()
+    catalog = broker.catalog()
+    reference = _reference(config)
+    scans = [EvidenceScan(detector, catalog, ip_regions, reference) for detector in detectors]
+    counts = ImpressionCount()
+    for batch in batches:
+        check.feed(batch)
+        _raise_on_violations(check.violations)
+        for scan in scans:
+            scan.feed(batch)
+        counts.feed(batch)
+        sink(batch)
+    return truth, ip_regions, [scan.evidence() for scan in scans], counts.share()
+
+
+def run(config: ScenarioConfig, out_dir) -> RunOutputs:
+    """Full pipeline plus file outputs, in one pass over the event stream
+    (see ``_stream``) that writes events.jsonl as it goes.
+
+    The files equal ``write_outputs(run_scenario(config))``.  A run that
+    fails removes its temp file and leaves events.jsonl as it was.
     """
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     broker = build_broker(config)
-    reference = _reference(config)
-    truth, ip_regions, batches = _serve(config, broker)
-    check = StreamCheck()
-    scan = EvidenceScan(config.detector, broker.catalog(), ip_regions, reference)
-    counts = ImpressionCount()
-
-    def write_events(fh):
-        lines = _EventLines(fh)
-        for batch in batches:
-            check.feed(batch)
-            _raise_on_violations(check.violations)
-            scan.feed(batch)
-            counts.feed(batch)
-            lines.feed(batch)
-
-    _atomic_write(out / "events.jsonl", write_events)
-    reports = score_evidence(scan.evidence(), config.detector, reference)
-    result = _evaluate(config, broker, None, truth, ip_regions, reports, counts.share())
-    return write_outputs(result, out)
+    truth, ip_regions, (evidence,), share = _atomic_write(
+        out / "events.jsonl", lambda fh: _stream(config, broker, [config.detector], _EventLines(fh).feed)
+    )
+    reports = score_evidence(evidence, config.detector, _reference(config))
+    return write_outputs(_evaluate(config, broker, None, truth, ip_regions, reports, share), out)
 
 
 # -- parameter sweeps -----------------------------------------------------------
@@ -305,41 +314,42 @@ def sweep(config: ScenarioConfig, param: str, values, out_dir=None) -> list:
     """Run the pipeline once per value of a numeric config field.
 
     Values are checked against the field's type as a config file's would be
-    (an int field takes integers only) before anything runs.  A detector-side
-    sweep runs traffic once and builds the catalog, the benign reference,
-    the bluff impression share and the detection evidence once, and checks
-    the stream once; each value then only re-scores the evidence, and scans
-    the stream again only when it changes a field of
-    ``detection.ACCUMULATION_FIELDS``.  Every other
+    (an int field takes integers only), and every per-value config is
+    validated, before anything runs.  A detector-side sweep serves the
+    traffic once (see ``_stream``), scanning it once per distinct
+    ``detection.accumulation_settings`` among the values, and then only
+    scores that evidence per value; it keeps no events list.  Every other
     sweep runs the full pipeline per value.  Returns one summary dict per
     value; when ``out_dir`` is given, also writes a combined
     sweep_summary.csv.
     """
     config.validate()
     _, _, typ = _resolve_parent(config, param)
-    values = [_check(value, typ, param) for value in values]
-    detector_side = param.split(".", 1)[0] == "detector"
-    if detector_side:
-        broker = build_broker(config)
-        events, truth, ip_regions = run_traffic(config, broker)
-        catalog = broker.catalog()
-        reference = _reference(config)
-        share = bluff_impression_share(events)
-        ordered = check_event_stream(events)
-        evidence = None
-
-    rows = []
+    configs = []
     for value in values:
+        value = _check(value, typ, param)
         cfg_v = copy.deepcopy(config)
         parent, leaf, _ = _resolve_parent(cfg_v, param)
         setattr(parent, leaf, value)
         cfg_v.validate()
+        configs.append((value, cfg_v))
+
+    detector_side = param.split(".", 1)[0] == "detector"
+    if detector_side:
+        broker = build_broker(config)
+        # One scan per distinct accumulation setting: detectors that share
+        # one gather the same evidence.
+        detectors = {accumulation_settings(cfg_v.detector): cfg_v.detector for _, cfg_v in configs}
+        truth, ip_regions, evidence, share = _stream(config, broker, list(detectors.values()), lambda batch: None)
+        evidence = dict(zip(detectors, evidence))
+        reference = _reference(config)
+
+    rows = []
+    for value, cfg_v in configs:
         if detector_side:
             detector = cfg_v.detector
-            if evidence is None or accumulation_settings(detector) != evidence.settings:
-                evidence = scan_evidence(ordered, detector, catalog, ip_regions, reference)
-            reports = score_evidence(evidence, detector, reference)
-            result = _evaluate(cfg_v, broker, events, truth, ip_regions, reports, share)
+            reports = score_evidence(evidence[accumulation_settings(detector)], detector, reference)
+            result = _evaluate(cfg_v, broker, None, truth, ip_regions, reports, share)
         else:
             result = run_scenario(cfg_v)
         rows.append({"param": param, "value": value, **result.summary_values()})

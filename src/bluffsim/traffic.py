@@ -1,4 +1,4 @@
-"""Traffic generation: populations, session plans, click decisions, events.
+"""Traffic generation: populations, sessions, click decisions, events.
 
 One scenario run is single-threaded and fully deterministic.  Every agent
 draws from its own RNG substream derived from (seed, stream, agent index),
@@ -151,12 +151,6 @@ class TrafficMix:
             lo, hi = getattr(self, name)
             if hi > topic_dim:
                 raise ConfigError(f"{path}.{name} ({lo}, {hi}) exceeds topic_dim {topic_dim}")
-
-
-@dataclass(frozen=True)
-class SessionPlan:
-    agent_id: str
-    arrivals: tuple  # page-view timestamps, strictly increasing
 
 
 # Cohorts in id order.  View bots come last so that adding a view-fraud
@@ -336,23 +330,6 @@ def _session_rate(kind: AgentKind, behavior: BehaviorParams) -> float:
     if kind is AgentKind.PROFILE_HARVESTER:
         return behavior.harvester_sessions_per_day
     return behavior.bot_sessions_per_day
-
-
-def plan_sessions(
-    agents: list,
-    behavior: BehaviorParams,
-    horizon_ms: int,
-    diurnal: tuple,
-    seed: int,
-) -> list:
-    """Session plans for every agent over the horizon (see ``_sessions``),
-    sorted by first arrival."""
-    plans = [
-        SessionPlan(agent_id=agent.agent_id, arrivals=arrivals)
-        for agent, arrivals in _sessions(agents, behavior, horizon_ms, diurnal, seed)
-    ]
-    plans.sort(key=lambda p: (p.arrivals[0], p.agent_id))
-    return plans
 
 
 def _sessions(agents: list, behavior: BehaviorParams, horizon_ms: int, diurnal: tuple, seed: int):

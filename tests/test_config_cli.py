@@ -4,7 +4,7 @@ import re
 import pytest
 import yaml
 
-from bluffsim import detection
+from bluffsim import pipeline
 from bluffsim.broker import ConfigError
 from bluffsim.cli import main
 from bluffsim.config import (
@@ -13,8 +13,10 @@ from bluffsim.config import (
     dump_config,
     load_config,
 )
-from bluffsim.domain import validate_event_stream
-from bluffsim.pipeline import run_scenario, sweep
+from bluffsim.detection import EvidenceScan
+from bluffsim.domain import StreamCheck
+from bluffsim.pipeline import build_broker, run_scenario, sweep
+from bluffsim.traffic import run_traffic
 from conftest import small_config
 
 
@@ -353,16 +355,29 @@ def test_sweep_detector_side_reuses_traffic():
 
 
 def test_sweep_checks_the_stream_once(monkeypatch):
-    # Re-scans for new accumulation settings reuse the checked stream.
-    calls = []
+    # One pass checks the stream once and feeds every event once to one scan
+    # per distinct accumulation setting.
+    fed = []  # [class, events fed] per StreamCheck or EvidenceScan made
 
-    def counting(events):
-        calls.append(len(events))
-        return validate_event_stream(events)
+    def counting(cls):
+        class Counting(cls):
+            def __init__(self, *args):
+                super().__init__(*args)
+                self.fed = [cls, 0]
+                fed.append(self.fed)
 
-    monkeypatch.setattr(detection, "validate_event_stream", counting)
-    sweep(small_config(seed=4), "detector.window_ms", [60_000, 600_000, 3_600_000])
-    assert len(calls) == 1
+            def feed(self, events):
+                self.fed[1] += len(events)
+                super().feed(events)
+
+        return Counting
+
+    monkeypatch.setattr(pipeline, "StreamCheck", counting(StreamCheck))
+    monkeypatch.setattr(pipeline, "EvidenceScan", counting(EvidenceScan))
+    cfg = small_config(seed=4)
+    sweep(cfg, "detector.window_ms", [60_000, 600_000, 60_000, 3_600_000])
+    n_events = len(run_traffic(cfg, build_broker(cfg))[0])
+    assert fed == [[StreamCheck, n_events]] + [[EvidenceScan, n_events]] * 3
 
 
 @pytest.mark.parametrize(

@@ -10,15 +10,14 @@ from bluffsim.detection import (
     ACCUMULATION_FIELDS,
     Blacklist,
     DetectorConfig,
+    EvidenceScan,
     ReferenceProfile,
     binom_tail_pvalue,
-    check_event_stream,
     classify_decoy_click,
     fuse,
     jensen_shannon,
     profile_divergence,
     run_detection,
-    scan_evidence,
     score_bluff,
     score_evidence,
     threshold_score,
@@ -441,7 +440,9 @@ def test_score_evidence_refuses_evidence_from_other_settings(name):
     cat = catalog_with(("ad-a", AdKind.REAL, 0))
     events = [imp(5, "u1", "ad-a", AdKind.REAL), clk(6, "u1", "ad-a", AdKind.REAL)]
     ref = ReferenceProfile.from_config((1.0,) * 24, 1)
-    evidence = scan_evidence(check_event_stream(events), DetectorConfig(), cat, None, ref)
+    scan = EvidenceScan(DetectorConfig(), cat, None, ref)
+    scan.feed(events)
+    evidence = scan.evidence()
     assert score_evidence(evidence, DetectorConfig(fusion_threshold=0.9), ref) == run_detection(
         events, DetectorConfig(fusion_threshold=0.9), cat
     )
@@ -488,7 +489,7 @@ def test_run_detection_rejects_unknown_ad():
 
 def test_detector_cannot_see_agent_kinds():
     # Structural: no detection entry point takes a ground-truth argument.
-    for fn in (run_detection, check_event_stream, scan_evidence, score_evidence):
+    for fn in (run_detection, EvidenceScan, score_evidence):
         params = inspect.signature(fn).parameters
         assert "truth" not in params and "agents" not in params
     assert set(inspect.signature(run_detection).parameters) == {"events", "cfg", "catalog", "ip_regions", "reference"}

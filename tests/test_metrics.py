@@ -166,7 +166,7 @@ def test_economics_no_fraud_agents():
     res = run_scenario(cfg)
     assert res.econ.fraud_spend_micros == 0
     assert res.econ.fraud_spend_flagged_micros == 0
-    assert res.econ.total_spend_micros == res.broker.ledger.total_micros()
+    assert res.econ.total_spend_micros == sum(e.amount_micros for e in res.broker.ledger.entries)
 
 
 def test_economics_rho_zero_no_bluff_accounting():
@@ -180,7 +180,7 @@ def test_economics_rho_zero_no_bluff_accounting():
 def test_economics_reconciles_with_ledger_exactly():
     res = run_scenario(small_config(seed=5))
     econ = res.econ
-    assert econ.total_spend_micros == res.broker.ledger.total_micros()
+    assert econ.total_spend_micros == sum(e.amount_micros for e in res.broker.ledger.entries)
     assert econ.fraud_spend_flagged_micros <= econ.fraud_spend_micros <= econ.total_spend_micros
 
 

@@ -1,16 +1,18 @@
 """``pipeline.run`` streams the event stream to disk in one pass: its files
 equal the in-memory path's, a failed run leaves nothing behind, and its
-memory does not grow with the events it writes."""
+memory does not grow with the events it writes.  A detector-side ``sweep``
+streams the same way, and validates every value before any traffic runs."""
 
 import tracemalloc
 
 import pytest
 
-from bluffsim import pipeline
+from bluffsim import pipeline, traffic
+from bluffsim.broker import ConfigError
 from bluffsim.config import PRESETS, load_config
 from bluffsim.domain import MS_PER_DAY, StreamCheck, StreamViolation
-from bluffsim.pipeline import run, run_scenario, write_outputs
-from bluffsim.traffic import build_population, plan_sessions
+from bluffsim.pipeline import run, run_scenario, sweep, write_outputs
+from bluffsim.traffic import _sessions, build_population
 from conftest import small_config
 
 FILES = ("events.jsonl", "truth.csv", "verdicts.csv", "summary.csv", "config.yaml")
@@ -40,37 +42,67 @@ def test_failed_stream_check_leaves_no_files(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-# What the peak of a run may gain with the horizon.  The ledger keeps one
-# entry per charged click (about 144 bytes under CPython 3.11: the entry,
-# its __dict__ and its timestamp int) and the page-view schedule one int per
-# page view (about 36 bytes); both are allowed, with headroom.  Per-agent and
-# per-IP state (detection evidence, click windows, memoised JSON strings,
-# relevance rows) is bounded by the population, not the horizon, but a
-# longer run sees more of it: the fixed slack covers that.  An events list
-# would cost at least 150 bytes per event (an 8-field tuple, its page-id int
-# and a list slot), and a run makes about four events per page view and
-# eight per charged click.
-LEDGER_ENTRY_BYTES = 160
+# What the peak of a run, or of a detector-side sweep, may gain with the
+# horizon.  The ledger keeps one entry per charged click (about 112 bytes
+# under CPython 3.11: the slotted entry, its list slot and its timestamp int)
+# and the page-view schedule one int per page view (about 36 bytes); both are
+# allowed, with headroom.  Per-agent and per-IP state (detection evidence,
+# click windows, memoised JSON strings, relevance rows) is bounded by the
+# population, not the horizon, but a longer run sees more of it: the fixed
+# slack covers that.  An events list would cost at least 150 bytes per event
+# (an 8-field tuple, its page-id int and a list slot), and a run makes about
+# four events per page view and eight per charged click.
+LEDGER_ENTRY_BYTES = 120
 PAGE_VIEW_BYTES = 48
 SLACK_BYTES = 256 * 1024
 
 
-def test_run_peak_memory_does_not_grow_with_horizon(tmp_path):
-    run(small_config(horizon_days=1), tmp_path)  # first-call allocations, untraced
+def peak_growth_and_allowance(call) -> tuple:
+    """The tracemalloc peak of ``call(cfg)`` at 4 days less that at 1 day,
+    and what the ledger, the page-view schedule and the slack allow."""
+    call(small_config(horizon_days=1))  # first-call allocations, untraced
     peak, ledger, views = {}, {}, {}
     for days in (1, 4):
         cfg = small_config(horizon_days=days)
         tracemalloc.start()
         try:
-            run(cfg, tmp_path)
+            call(cfg)
             peak[days] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
         ledger[days] = len(run_scenario(cfg).broker.ledger.entries)
         agents, _ = build_population(cfg.mix, cfg.topic_dim, cfg.seed)
-        plans = plan_sessions(agents, cfg.behavior, days * MS_PER_DAY, cfg.diurnal, cfg.seed)
-        views[days] = sum(len(p.arrivals) for p in plans)
+        sessions = _sessions(agents, cfg.behavior, days * MS_PER_DAY, cfg.diurnal, cfg.seed)
+        views[days] = sum(len(arrivals) for _, arrivals in sessions)
     allowance = (
         LEDGER_ENTRY_BYTES * (ledger[4] - ledger[1]) + PAGE_VIEW_BYTES * (views[4] - views[1]) + SLACK_BYTES
     )
-    assert peak[4] - peak[1] <= allowance
+    return peak[4] - peak[1], allowance
+
+
+def test_run_peak_memory_does_not_grow_with_horizon(tmp_path):
+    growth, allowance = peak_growth_and_allowance(lambda cfg: run(cfg, tmp_path))
+    assert growth <= allowance
+
+
+def test_detector_sweep_peak_memory_does_not_grow_with_horizon():
+    growth, allowance = peak_growth_and_allowance(
+        lambda cfg: sweep(cfg, "detector.fusion_threshold", [0.3, 0.5, 0.7])
+    )
+    assert growth <= allowance
+
+
+@pytest.mark.parametrize("param,values", [("injection.rho", [0.1, 1.5]), ("detector.p0", [0.02, 1.5])])
+def test_sweep_validates_every_value_before_serving(monkeypatch, param, values):
+    served = []
+
+    def counting_serve(*args):
+        served.append(args)
+        return serve(*args)
+
+    serve = traffic._serve
+    monkeypatch.setattr(traffic, "_serve", counting_serve)
+    monkeypatch.setattr(pipeline, "_serve", counting_serve)
+    with pytest.raises(ConfigError, match=param.split(".")[1]):
+        sweep(small_config(horizon_days=1), param, values)
+    assert served == []

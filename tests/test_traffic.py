@@ -32,7 +32,6 @@ from bluffsim.traffic import (
     benign_click_prob,
     build_population,
     decide_clicks,
-    plan_sessions,
     run_traffic,
 )
 from conftest import small_config
@@ -266,7 +265,7 @@ def test_population_ids_stable_when_view_bots_added():
     assert sum(1 for a in extended if a.kind is AgentKind.VIEW_BOT) == 5
 
 
-# -- session planning -------------------------------------------------------------
+# -- sessions ---------------------------------------------------------------------
 
 
 def flat_diurnal():
@@ -275,12 +274,12 @@ def flat_diurnal():
 
 def test_zero_horizon_means_no_sessions():
     agents, _ = build_population(TrafficMix(n_benign=1, n_random_bot=0, n_trained_bot=0), D, 1)
-    assert plan_sessions(agents, BehaviorParams(), 0, flat_diurnal(), seed=1) == []
+    assert list(traffic._sessions(agents, BehaviorParams(), 0, flat_diurnal(), seed=1)) == []
 
 
 def test_empty_population_rejected():
     with pytest.raises(ConfigError):
-        plan_sessions([], BehaviorParams(), MS_PER_DAY, flat_diurnal(), seed=1)
+        list(traffic._sessions([], BehaviorParams(), MS_PER_DAY, flat_diurnal(), seed=1))
 
 
 def test_benign_poisson_page_volume():
@@ -288,8 +287,8 @@ def test_benign_poisson_page_volume():
     # page views within 5% of 42,000.
     mix = TrafficMix(n_benign=1000, n_random_bot=0, n_trained_bot=0)
     agents, _ = build_population(mix, D, seed=2)
-    plans = plan_sessions(agents, BehaviorParams(), 7 * MS_PER_DAY, flat_diurnal(), seed=2)
-    pages = sum(len(p.arrivals) for p in plans)
+    sessions = traffic._sessions(agents, BehaviorParams(), 7 * MS_PER_DAY, flat_diurnal(), seed=2)
+    pages = sum(len(arrivals) for _, arrivals in sessions)
     expected = 1000 * 2.0 * 7 * 3
     assert abs(pages - expected) / expected < 0.05
 
@@ -297,18 +296,20 @@ def test_benign_poisson_page_volume():
 def test_arrivals_strictly_increasing_within_session():
     mix = TrafficMix(n_benign=50, n_random_bot=5, n_trained_bot=5)
     agents, _ = build_population(mix, D, seed=4)
-    plans = plan_sessions(agents, BehaviorParams(), 2 * MS_PER_DAY, flat_diurnal(), seed=4)
-    assert plans == sorted(plans, key=lambda p: (p.arrivals[0], p.agent_id))
-    for p in plans:
-        assert all(a < b for a, b in zip(p.arrivals, p.arrivals[1:]))
+    sessions = list(traffic._sessions(agents, BehaviorParams(), 2 * MS_PER_DAY, flat_diurnal(), seed=4))
+    # Agent by agent, each agent's sessions by start.
+    starts = [(agent.index, arrivals[0]) for agent, arrivals in sessions]
+    assert starts == sorted(starts)
+    for _, arrivals in sessions:
+        assert all(a < b for a, b in zip(arrivals, arrivals[1:]))
 
 
 def test_random_bot_arrivals_uniform_ks():
     mix = TrafficMix(n_benign=0, n_random_bot=100, n_trained_bot=0)
     agents, _ = build_population(mix, D, seed=5)
     horizon = 7 * MS_PER_DAY
-    plans = plan_sessions(agents, BehaviorParams(), horizon, flat_diurnal(), seed=5)
-    starts = [p.arrivals[0] / horizon for p in plans]
+    sessions = traffic._sessions(agents, BehaviorParams(), horizon, flat_diurnal(), seed=5)
+    starts = [arrivals[0] / horizon for _, arrivals in sessions]
     assert len(starts) >= 10_000
     stat = stats.kstest(starts, "uniform").statistic
     assert stat < 0.05
@@ -320,10 +321,9 @@ def test_trained_bot_hours_match_diurnal_curve():
     curve = tuple(0.2 if h < 8 else (2.0 if h < 16 else 1.0) for h in range(24))
     mix = TrafficMix(n_benign=0, n_random_bot=0, n_trained_bot=100)
     agents, _ = build_population(mix, D, seed=6)
-    plans = plan_sessions(agents, BehaviorParams(), 7 * MS_PER_DAY, curve, seed=6)
     counts = [0] * 24
-    for p in plans:
-        counts[(p.arrivals[0] // MS_PER_HOUR) % 24] += 1
+    for _, arrivals in traffic._sessions(agents, BehaviorParams(), 7 * MS_PER_DAY, curve, seed=6):
+        counts[(arrivals[0] // MS_PER_HOUR) % 24] += 1
     n = sum(counts)
     assert n >= 10_000
     total_w = sum(curve)
@@ -404,8 +404,9 @@ def test_click_delays_within_dwell_bound():
 def most_page_views(cfg):
     agents, _ = build_population(cfg.mix, cfg.topic_dim, cfg.seed)
     views = {}
-    for plan in plan_sessions(agents, cfg.behavior, cfg.horizon_days * MS_PER_DAY, cfg.diurnal, cfg.seed):
-        views[plan.agent_id] = views.get(plan.agent_id, 0) + len(plan.arrivals)
+    horizon_ms = cfg.horizon_days * MS_PER_DAY
+    for agent, arrivals in traffic._sessions(agents, cfg.behavior, horizon_ms, cfg.diurnal, cfg.seed):
+        views[agent.agent_id] = views.get(agent.agent_id, 0) + len(arrivals)
     return max(views.values())
 
 
