@@ -115,7 +115,6 @@ class Broker:
         self.topic_dim = topic_dim
         self.campaigns: dict[str, Campaign] = {}
         self.ads: dict[str, AdUnit] = {}
-        self._ad_owner: dict[str, str] = {}
         self.quality: dict[str, QualityScore] = {}
         self.ledger = BillingLedger()
         self.rel = RelevanceCache()
@@ -138,8 +137,9 @@ class Broker:
                     raise ConfigError("campaigns may contain only real ads")
                 if ad.ad_id in self.ads:
                     raise ConfigError(f"duplicate ad_id {ad.ad_id}")
+                if ad.advertiser_id != c.advertiser_id:
+                    raise ConfigError(f"ad {ad.ad_id} of advertiser {ad.advertiser_id} in campaign {c.advertiser_id}")
                 self.ads[ad.ad_id] = ad
-                self._ad_owner[ad.ad_id] = c.advertiser_id
                 self.quality[ad.ad_id] = QualityScore()
         self._inventory = sorted(
             ((c, ad, self.quality[ad.ad_id]) for c in campaigns for ad in c.ads),
@@ -332,7 +332,7 @@ class Broker:
         if ad.kind is not AdKind.REAL:
             return 0
         self.quality[ad_id].clicks += 1
-        campaign = self.campaigns[self._ad_owner[ad_id]]
+        campaign = self.campaigns[ad.advertiser_id]
         charge = min(ad.bid_micros, campaign.remaining_micros())
         if charge <= 0:
             return 0

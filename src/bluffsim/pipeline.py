@@ -12,6 +12,7 @@ import copy
 import json
 import os
 from dataclasses import dataclass, is_dataclass
+from itertools import chain
 from pathlib import Path
 from typing import Optional
 
@@ -55,9 +56,9 @@ SUMMARY_METRICS = (
 
 @dataclass
 class RunResult:
-    """In-memory outputs of one scenario run.  ``events`` is None when the
-    run kept none: ``run`` writes them to events.jsonl as they are made, and
-    a detector-side ``sweep`` only scans them."""
+    """In-memory outputs of one scenario run.  Only ``run_scenario`` keeps
+    ``events``; it is None from ``_stream``, which hands each batch to a sink
+    (``run``'s events.jsonl writer, or ``sweep``'s, which drops it)."""
 
     config: ScenarioConfig
     events: Optional[list]
@@ -115,7 +116,9 @@ def build_broker(config: ScenarioConfig) -> Broker:
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
-    """Execute the full pipeline in memory."""
+    """Execute the full pipeline in memory, keeping the events list.  It
+    walks that list (``run_traffic``, ``run_detection``) rather than calling
+    ``_stream`` because the bench's tracer counts passes by those names."""
     config.validate()
     broker = build_broker(config)
     events, truth, ip_regions = run_traffic(config, broker)
@@ -248,34 +251,43 @@ def write_outputs(result: RunResult, out_dir) -> RunOutputs:
     return RunOutputs(out, events_path, truth_path, verdicts_path, summary_path, config_path)
 
 
-def _stream(config: ScenarioConfig, broker: Broker, detectors: list, sink) -> tuple:
-    """Serve the traffic of ``config`` through ``broker`` in one pass.
+def _stream(configs: list, sink):
+    """Serve the traffic of ``configs``, which may differ only in their
+    detector, in one pass and then yield one ``RunResult`` per config.
 
     Each batch of events the serve loop yields, already in final order, is
     checked (raising ``ValueError`` on the first violation), scanned for
-    evidence under each of ``detectors``, counted for the bluff impression
-    share and handed to ``sink``, then dropped: no events list is built.
-    Returns (truth, ip_regions, one ``Evidence`` per detector, share).
+    evidence once per distinct ``accumulation_settings`` among the detectors,
+    counted for the bluff impression share and handed to ``sink``, then
+    dropped: no events list is built.  Results are scored one at a time.
     """
+    config = configs[0]
+    broker = build_broker(config)
     truth, ip_regions, batches = _serve(config, broker)
     check = StreamCheck()
     catalog = broker.catalog()
     reference = _reference(config)
-    scans = [EvidenceScan(detector, catalog, ip_regions, reference) for detector in detectors]
+    # Detectors that share accumulation settings gather the same evidence.
+    detectors = {accumulation_settings(cfg.detector): cfg.detector for cfg in configs}
+    scans = {key: EvidenceScan(detector, catalog, ip_regions, reference) for key, detector in detectors.items()}
     counts = ImpressionCount()
     for batch in batches:
         check.feed(batch)
         _raise_on_violations(check.violations)
-        for scan in scans:
+        for scan in scans.values():
             scan.feed(batch)
         counts.feed(batch)
         sink(batch)
-    return truth, ip_regions, [scan.evidence() for scan in scans], counts.share()
+    evidence = {key: scan.evidence() for key, scan in scans.items()}
+    share = counts.share()
+    for cfg in configs:
+        reports = score_evidence(evidence[accumulation_settings(cfg.detector)], cfg.detector, reference)
+        yield _evaluate(cfg, broker, None, truth, ip_regions, reports, share)
 
 
 def run(config: ScenarioConfig, out_dir) -> RunOutputs:
     """Full pipeline plus file outputs, in one pass over the event stream
-    (see ``_stream``) that writes events.jsonl as it goes.
+    (``_stream`` with the events.jsonl writer as sink).
 
     The files equal ``write_outputs(run_scenario(config))``.  A run that
     fails removes its temp file and leaves events.jsonl as it was.
@@ -283,12 +295,8 @@ def run(config: ScenarioConfig, out_dir) -> RunOutputs:
     config.validate()
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    broker = build_broker(config)
-    truth, ip_regions, (evidence,), share = _atomic_write(
-        out / "events.jsonl", lambda fh: _stream(config, broker, [config.detector], _EventLines(fh).feed)
-    )
-    reports = score_evidence(evidence, config.detector, _reference(config))
-    return write_outputs(_evaluate(config, broker, None, truth, ip_regions, reports, share), out)
+    (result,) = _atomic_write(out / "events.jsonl", lambda fh: list(_stream([config], _EventLines(fh).feed)))
+    return write_outputs(result, out)
 
 
 # -- parameter sweeps -----------------------------------------------------------
@@ -315,44 +323,30 @@ def sweep(config: ScenarioConfig, param: str, values, out_dir=None) -> list:
 
     Values are checked against the field's type as a config file's would be
     (an int field takes integers only), and every per-value config is
-    validated, before anything runs.  A detector-side sweep serves the
-    traffic once (see ``_stream``), scanning it once per distinct
-    ``detection.accumulation_settings`` among the values, and then only
-    scores that evidence per value; it keeps no events list.  Every other
-    sweep runs the full pipeline per value.  Returns one summary dict per
-    value; when ``out_dir`` is given, also writes a combined
-    sweep_summary.csv.
+    validated, before anything runs.  Each value is evaluated by ``_stream``
+    with a sink that drops every batch, so no sweep keeps an events list.
+    The values of a detector-side sweep share one pass; any other value gets
+    its own.  Returns one summary dict per value; when ``out_dir`` is given,
+    also writes a combined sweep_summary.csv.
     """
     config.validate()
     _, _, typ = _resolve_parent(config, param)
-    configs = []
+    checked, configs = [], []
     for value in values:
         value = _check(value, typ, param)
         cfg_v = copy.deepcopy(config)
         parent, leaf, _ = _resolve_parent(cfg_v, param)
         setattr(parent, leaf, value)
         cfg_v.validate()
-        configs.append((value, cfg_v))
+        checked.append(value)
+        configs.append(cfg_v)
 
-    detector_side = param.split(".", 1)[0] == "detector"
-    if detector_side:
-        broker = build_broker(config)
-        # One scan per distinct accumulation setting: detectors that share
-        # one gather the same evidence.
-        detectors = {accumulation_settings(cfg_v.detector): cfg_v.detector for _, cfg_v in configs}
-        truth, ip_regions, evidence, share = _stream(config, broker, list(detectors.values()), lambda batch: None)
-        evidence = dict(zip(detectors, evidence))
-        reference = _reference(config)
-
-    rows = []
-    for value, cfg_v in configs:
-        if detector_side:
-            detector = cfg_v.detector
-            reports = score_evidence(evidence[accumulation_settings(detector)], detector, reference)
-            result = _evaluate(cfg_v, broker, None, truth, ip_regions, reports, share)
-        else:
-            result = run_scenario(cfg_v)
-        rows.append({"param": param, "value": value, **result.summary_values()})
+    # Detector values share one traffic pass; any other value changes it.
+    groups = [configs] if param.startswith("detector.") and configs else [[cfg_v] for cfg_v in configs]
+    results = chain.from_iterable(_stream(group, lambda batch: None) for group in groups)
+    # ``map``, not a for loop: no name keeps a finished result, and with it
+    # its broker and ledger, alive while the next group is served.
+    rows = list(map(lambda value, res: {"param": param, "value": value, **res.summary_values()}, checked, results))
 
     if out_dir is not None:
         out = Path(out_dir)

@@ -228,6 +228,13 @@ def test_bluff_click_never_charged():
     assert broker.ledger.entries == []
 
 
+def test_campaign_holding_another_advertisers_ad_rejected():
+    # Clicks bill the ad's own advertiser, so a campaign may hold only its own ads.
+    stray = Campaign(advertiser_id="a", ads=[real_ad("ad-b", "b", 0, 100)], daily_budget_micros=10**9)
+    with pytest.raises(ConfigError, match="ad ad-b of advertiser b in campaign a"):
+        make_broker([stray, single_ad_campaign("b", 1, 100)])
+
+
 def test_budget_clamp_charges_remainder():
     broker = make_broker([single_ad_campaign("a", 0, bid=100, budget=40)])
     profile = basis_vector(D, 0)

@@ -287,6 +287,21 @@ def test_cli_run_requires_out(capsys):
     assert main(["run", "--config", "default-attack"]) == 2
 
 
+def test_cli_sweep_writes_the_library_rows(tmp_path, capsys):
+    cfg = small_config(seed=5)
+    path = tmp_path / "small.yaml"
+    path.write_text(dump_config(cfg))
+    out_dir = tmp_path / "out"
+    assert main([
+        "sweep", "--config", str(path), "--param", "injection.rho", "--values", "0,0.1", "--out", str(out_dir),
+    ]) == 0
+    assert "sweep complete: 2 values" in capsys.readouterr().out
+    sweep(cfg, "injection.rho", [0, 0.1], tmp_path / "library")
+    written = (out_dir / "sweep_summary.csv").read_text()
+    assert written == (tmp_path / "library" / "sweep_summary.csv").read_text()
+    assert len(written.splitlines()) == 3
+
+
 def test_cli_sweep_non_numeric_param(tmp_path, capsys):
     assert main([
         "sweep", "--config", "default-attack", "--param", "mix.view_bot_target",
@@ -389,6 +404,9 @@ def test_sweep_checks_the_stream_once(monkeypatch):
         ("detector.min_clicks", [5, 1, 300, 100]),
         # Scoring only: every row reuses one scan.
         ("detector.p0", [0.02, 0.005, 0.05]),
+        # Traffic side: each value gets a pass of its own.
+        ("injection.rho", [0.0, 0.1, 0.3]),
+        ("behavior.bot_click_rate", [0.2, 0.6, 0.9]),
     ],
 )
 def test_sweep_rows_equal_separate_runs(param, values):

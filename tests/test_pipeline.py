@@ -1,7 +1,9 @@
 """``pipeline.run`` streams the event stream to disk in one pass: its files
 equal the in-memory path's, a failed run leaves nothing behind, and its
-memory does not grow with the events it writes.  A detector-side ``sweep``
-streams the same way, and validates every value before any traffic runs."""
+memory does not grow with the events it writes.  Every ``sweep``, on the
+detector side or the traffic side, streams through the same pass, validates
+every value before any traffic runs, and serves nothing when given no
+values."""
 
 import tracemalloc
 
@@ -42,7 +44,7 @@ def test_failed_stream_check_leaves_no_files(tmp_path, monkeypatch):
     assert list(tmp_path.iterdir()) == []
 
 
-# What the peak of a run, or of a detector-side sweep, may gain with the
+# What the peak of a run, or of a sweep, may gain with the
 # horizon.  The ledger keeps one entry per charged click (about 112 bytes
 # under CPython 3.11: the slotted entry, its list slot and its timestamp int)
 # and the page-view schedule one int per page view (about 36 bytes); both are
@@ -85,24 +87,42 @@ def test_run_peak_memory_does_not_grow_with_horizon(tmp_path):
     assert growth <= allowance
 
 
-def test_detector_sweep_peak_memory_does_not_grow_with_horizon():
-    growth, allowance = peak_growth_and_allowance(
-        lambda cfg: sweep(cfg, "detector.fusion_threshold", [0.3, 0.5, 0.7])
-    )
+@pytest.mark.parametrize(
+    "param,values", [("detector.fusion_threshold", [0.3, 0.5, 0.7]), ("injection.rho", [0.0, 0.1, 0.3])]
+)
+def test_sweep_peak_memory_does_not_grow_with_horizon(param, values):
+    growth, allowance = peak_growth_and_allowance(lambda cfg: sweep(cfg, param, values))
     assert growth <= allowance
 
 
-@pytest.mark.parametrize("param,values", [("injection.rho", [0.1, 1.5]), ("detector.p0", [0.02, 1.5])])
-def test_sweep_validates_every_value_before_serving(monkeypatch, param, values):
+def counting_serve(monkeypatch) -> list:
+    """Patch ``traffic._serve`` where bound with a wrapper that records each
+    call's arguments, and return that record."""
     served = []
 
-    def counting_serve(*args):
+    def counting(*args):
         served.append(args)
         return serve(*args)
 
     serve = traffic._serve
-    monkeypatch.setattr(traffic, "_serve", counting_serve)
-    monkeypatch.setattr(pipeline, "_serve", counting_serve)
+    monkeypatch.setattr(traffic, "_serve", counting)
+    monkeypatch.setattr(pipeline, "_serve", counting)
+    return served
+
+
+@pytest.mark.parametrize("param", ["detector.p0", "injection.rho"])
+def test_empty_sweep_serves_nothing(tmp_path, monkeypatch, param):
+    served = counting_serve(monkeypatch)
+    assert sweep(small_config(horizon_days=1), param, [], tmp_path) == []
+    assert served == []
+    assert (tmp_path / "sweep_summary.csv").read_text().splitlines() == [
+        "param,value," + ",".join(pipeline.SUMMARY_METRICS)
+    ]
+
+
+@pytest.mark.parametrize("param,values", [("injection.rho", [0.1, 1.5]), ("detector.p0", [0.02, 1.5])])
+def test_sweep_validates_every_value_before_serving(monkeypatch, param, values):
+    served = counting_serve(monkeypatch)
     with pytest.raises(ConfigError, match=param.split(".")[1]):
         sweep(small_config(horizon_days=1), param, values)
     assert served == []
