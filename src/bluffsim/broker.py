@@ -22,7 +22,7 @@ from .domain import (
     TopicVector,
     basis_vector,
 )
-from .rng import SplitMix64
+from .rng import STREAM_BLUFF_POOL, SplitMix64
 
 
 class ConfigError(ValueError):
@@ -47,13 +47,13 @@ class InjectionConfig:
     type_b_share: float = 0.5  # fraction of decoy slots that are untargeted
     bluff_pool_size: int = 64
 
-    def validate(self, path: str = "injection") -> None:
+    def validate(self) -> None:
         if not 0.0 <= self.rho <= 1.0:
-            raise ConfigError(f"{path}.rho must be in [0, 1], got {self.rho}")
+            raise ConfigError(f"injection.rho must be in [0, 1], got {self.rho}")
         if not 0.0 <= self.type_b_share <= 1.0:
-            raise ConfigError(f"{path}.type_b_share must be in [0, 1], got {self.type_b_share}")
+            raise ConfigError(f"injection.type_b_share must be in [0, 1], got {self.type_b_share}")
         if self.bluff_pool_size <= 0:
-            raise ConfigError(f"{path}.bluff_pool_size must be positive")
+            raise ConfigError("injection.bluff_pool_size must be positive")
 
 
 @dataclass
@@ -146,7 +146,7 @@ class Broker:
             key=lambda entry: entry[1].ad_id,
         )
 
-        pool_rng = SplitMix64.for_stream(seed, stream=3)  # STREAM_BLUFF_POOL
+        pool_rng = SplitMix64.for_stream(seed, stream=STREAM_BLUFF_POOL)
         self._bluff_pool = self._build_bluff_pool(pool_rng)
         self._bluff_b_units = self._build_bluff_b_units()
         # Decoy units share ad_ids with fixed content, so the catalog the

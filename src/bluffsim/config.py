@@ -121,11 +121,10 @@ class ScenarioConfig:
             raise ConfigError("diurnal must have exactly 24 weights")
         if any(w < 0 for w in self.diurnal) or not any(w > 0 for w in self.diurnal):
             raise ConfigError("diurnal weights must be non-negative, not all zero")
-        self.mix.validate("mix")
-        self.mix.validate_topics(self.topic_dim, "mix")
-        self.behavior.validate("behavior")
-        self.injection.validate("injection")
-        self.detector.validate("detector")
+        self.mix.validate(self.topic_dim)
+        self.behavior.validate()
+        self.injection.validate()
+        self.detector.validate()
         seen = set()
         for i, c in enumerate(self.campaigns):
             c.validate(f"campaigns[{i}]", self.topic_dim)
@@ -218,38 +217,17 @@ def _build(cls, data, path: str, required: bool = False):
 # -- presets -------------------------------------------------------------------
 
 
-def _preset_default_attack() -> dict:
-    return {}
-
-
-def _preset_benign_only() -> dict:
-    return {
-        "mix": {"n_random_bot": 0, "n_trained_bot": 0},
-    }
-
-
-def _preset_dictionary_attack() -> dict:
+# Each preset's overrides of the stock scenario, merged under a file's own.
+PRESETS = {
+    "default-attack": {},
+    "benign-only": {"mix": {"n_random_bot": 0, "n_trained_bot": 0}},
     # Trained bots swapped for perfect-dictionary bots, plus a
     # profile-harvesting cohort chasing the unserved niche.
-    return {
-        "mix": {
-            "n_trained_bot": 0,
-            "n_dictionary_bot": 20,
-            "n_profile_harvester": 20,
-        },
+    "dictionary-attack": {
+        "mix": {"n_trained_bot": 0, "n_dictionary_bot": 20, "n_profile_harvester": 20},
         "behavior": {"dictionary_skill": 1.0},
-    }
-
-
-def _preset_baseline_no_bluff() -> dict:
-    return {"injection": {"rho": 0.0}}
-
-
-PRESETS = {
-    "default-attack": _preset_default_attack,
-    "benign-only": _preset_benign_only,
-    "dictionary-attack": _preset_dictionary_attack,
-    "baseline-no-bluff": _preset_baseline_no_bluff,
+    },
+    "baseline-no-bluff": {"injection": {"rho": 0.0}},
 }
 
 
@@ -290,15 +268,9 @@ def load_config(source: str) -> ScenarioConfig:
             raise ConfigError(
                 f"unknown preset {preset_name!r}; available: {sorted(PRESETS)}"
             )
-        data = _deep_merge(PRESETS[preset_name](), data)
+        data = _deep_merge(PRESETS[preset_name], data)
     cfg = _build(ScenarioConfig, data, "")
-    # Range/invariant validation raises ConfigError with field paths.
-    try:
-        cfg.validate()
-    except ConfigError:
-        raise
-    except ValueError as exc:  # invariant checks from nested types
-        raise ConfigError(str(exc)) from exc
+    cfg.validate()
     return cfg
 
 

@@ -53,24 +53,24 @@ class DetectorConfig:
     w_profile: float = 0.15
     fusion_threshold: float = 0.5
 
-    def validate(self, path: str = "detector") -> None:
+    def validate(self) -> None:
         if not 0.0 < self.p0 < 1.0:
-            raise ConfigError(f"{path}.p0 must be in (0, 1), got {self.p0}")
+            raise ConfigError(f"detector.p0 must be in (0, 1), got {self.p0}")
         if not 0.0 < self.pvalue_threshold < 1.0:
-            raise ConfigError(f"{path}.pvalue_threshold must be in (0, 1)")
+            raise ConfigError("detector.pvalue_threshold must be in (0, 1)")
         if self.min_clicks < 1:
-            raise ConfigError(f"{path}.min_clicks must be >= 1")
+            raise ConfigError("detector.min_clicks must be >= 1")
         if self.window_ms <= 0 or self.click_cap < 1 or self.blacklist_ttl_ms <= 0:
-            raise ConfigError(f"{path}: window_ms, click_cap, blacklist_ttl_ms must be positive")
+            raise ConfigError("detector: window_ms, click_cap, blacklist_ttl_ms must be positive")
         if self.divergence_threshold <= 0:
-            raise ConfigError(f"{path}.divergence_threshold must be positive")
+            raise ConfigError("detector.divergence_threshold must be positive")
         if not 0.0 <= self.mismatch_epsilon <= 1.0:
-            raise ConfigError(f"{path}.mismatch_epsilon must be in [0, 1]")
+            raise ConfigError("detector.mismatch_epsilon must be in [0, 1]")
         w = (self.w_bluff, self.w_thresh, self.w_profile)
         if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-            raise ConfigError(f"{path}: fusion weights must be non-negative and sum to 1")
+            raise ConfigError("detector: fusion weights must be non-negative and sum to 1")
         if not 0.0 <= self.fusion_threshold <= 1.0:
-            raise ConfigError(f"{path}.fusion_threshold must be in [0, 1]")
+            raise ConfigError("detector.fusion_threshold must be in [0, 1]")
 
 
 def binom_tail_pvalue(k: int, n: int, p0: float) -> float:

@@ -11,8 +11,8 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass, is_dataclass
-from itertools import chain
+from dataclasses import dataclass, is_dataclass, replace
+from itertools import groupby
 from pathlib import Path
 from typing import Optional
 
@@ -63,7 +63,6 @@ class RunResult:
     config: ScenarioConfig
     events: Optional[list]
     truth: dict
-    ip_regions: dict
     reports: dict
     conf: Confusion
     econ: EconomicSummary
@@ -123,14 +122,14 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     broker = build_broker(config)
     events, truth, ip_regions = run_traffic(config, broker)
     reports = run_detection(events, config.detector, broker.catalog(), ip_regions, _reference(config))
-    return _evaluate(config, broker, events, truth, ip_regions, reports, bluff_impression_share(events))
+    return _evaluate(config, broker, events, truth, reports, bluff_impression_share(events))
 
 
 def _reference(config: ScenarioConfig) -> ReferenceProfile:
     return ReferenceProfile.from_config(config.diurnal, config.mix.region_count)
 
 
-def _evaluate(config: ScenarioConfig, broker: Broker, events, truth, ip_regions, reports, share) -> RunResult:
+def _evaluate(config: ScenarioConfig, broker: Broker, events, truth, reports, share) -> RunResult:
     """Confusion, AUC and economics of one set of verdicts over one traffic
     pass whose bluff impression share is ``share``."""
     conf = confusion(reports, truth)
@@ -139,7 +138,7 @@ def _evaluate(config: ScenarioConfig, broker: Broker, events, truth, ip_regions,
     except ValueError:
         auc = None  # single-class population (e.g. benign-only calibration)
     econ = economics(broker.ledger, reports, truth, broker.overhead_micros, share)
-    return RunResult(config, events, truth, ip_regions, reports, conf, econ, auc, broker)
+    return RunResult(config, events, truth, reports, conf, econ, auc, broker)
 
 
 def _atomic_write(path: Path, write_fn):
@@ -252,8 +251,20 @@ def write_outputs(result: RunResult, out_dir) -> RunOutputs:
 
 
 def _stream(configs: list, sink):
-    """Serve the traffic of ``configs``, which may differ only in their
-    detector, in one pass and then yield one ``RunResult`` per config.
+    """Yield one ``RunResult`` per config of ``configs``, in order.
+
+    Consecutive configs that are equal apart from their detector make the
+    same traffic, so they share one pass (``_pass``); any other config gets
+    a pass of its own.  A group's pass ends, and its broker is freed, before
+    the next group's begins.
+    """
+    for _, group in groupby(configs, lambda cfg: replace(cfg, detector=None)):
+        yield from _pass(list(group), sink)
+
+
+def _pass(configs: list, sink):
+    """Serve the traffic of ``configs``, which differ only in their
+    detector, once and then yield one ``RunResult`` per config.
 
     Each batch of events the serve loop yields, already in final order, is
     checked (raising ``ValueError`` on the first violation), scanned for
@@ -282,7 +293,7 @@ def _stream(configs: list, sink):
     share = counts.share()
     for cfg in configs:
         reports = score_evidence(evidence[accumulation_settings(cfg.detector)], cfg.detector, reference)
-        yield _evaluate(cfg, broker, None, truth, ip_regions, reports, share)
+        yield _evaluate(cfg, broker, None, truth, reports, share)
 
 
 def run(config: ScenarioConfig, out_dir) -> RunOutputs:
@@ -323,11 +334,11 @@ def sweep(config: ScenarioConfig, param: str, values, out_dir=None) -> list:
 
     Values are checked against the field's type as a config file's would be
     (an int field takes integers only), and every per-value config is
-    validated, before anything runs.  Each value is evaluated by ``_stream``
-    with a sink that drops every batch, so no sweep keeps an events list.
-    The values of a detector-side sweep share one pass; any other value gets
-    its own.  Returns one summary dict per value; when ``out_dir`` is given,
-    also writes a combined sweep_summary.csv.
+    validated, before anything runs.  All the values are evaluated by one
+    ``_stream`` with a sink that drops every batch, so no sweep keeps an
+    events list, and consecutive values that leave the traffic unchanged
+    share one pass.  Returns one summary dict per value; when ``out_dir`` is
+    given, also writes a combined sweep_summary.csv.
     """
     config.validate()
     _, _, typ = _resolve_parent(config, param)
@@ -341,11 +352,9 @@ def sweep(config: ScenarioConfig, param: str, values, out_dir=None) -> list:
         checked.append(value)
         configs.append(cfg_v)
 
-    # Detector values share one traffic pass; any other value changes it.
-    groups = [configs] if param.startswith("detector.") and configs else [[cfg_v] for cfg_v in configs]
-    results = chain.from_iterable(_stream(group, lambda batch: None) for group in groups)
+    results = _stream(configs, lambda batch: None)
     # ``map``, not a for loop: no name keeps a finished result, and with it
-    # its broker and ledger, alive while the next group is served.
+    # its broker and ledger, alive while the next pass is served.
     rows = list(map(lambda value, res: {"param": param, "value": value, **res.summary_values()}, checked, results))
 
     if out_dir is not None:

@@ -64,18 +64,31 @@ class BehaviorParams:
     harvester_sessions_per_day: float = 30.0  # harvesters crawl aggressively
     page_gap_ms: float = 30_000.0  # mean gap between pages within a session
 
-    def validate(self, path: str = "behavior") -> None:
+    def validate(self) -> None:
         for name in ("base_ctr", "accidental_rate", "bot_click_rate", "dictionary_skill", "harvest_threshold"):
             v = getattr(self, name)
             if not 0.0 <= v <= 1.0:
-                raise ConfigError(f"{path}.{name} must be in [0, 1], got {v}")
+                raise ConfigError(f"behavior.{name} must be in [0, 1], got {v}")
         if self.accidental_rate >= self.base_ctr:
-            raise ConfigError(f"{path}.accidental_rate must be below {path}.base_ctr")
+            raise ConfigError("behavior.accidental_rate must be below behavior.base_ctr")
         for name in ("sessions_per_day", "bot_sessions_per_day", "harvester_sessions_per_day", "page_gap_ms"):
             if getattr(self, name) <= 0:
-                raise ConfigError(f"{path}.{name} must be positive")
+                raise ConfigError(f"behavior.{name} must be positive")
         if self.pages_per_session < 1:
-            raise ConfigError(f"{path}.pages_per_session must be >= 1")
+            raise ConfigError("behavior.pages_per_session must be >= 1")
+
+
+# Cohorts in id order, and the mix field that sizes each.  View bots come
+# last so that adding a view-fraud cohort to an existing scenario leaves
+# every other agent's id unchanged.
+_COHORT_ORDER = (
+    (AgentKind.BENIGN, "n_benign"),
+    (AgentKind.RANDOM_BOT, "n_random_bot"),
+    (AgentKind.TRAINED_BOT, "n_trained_bot"),
+    (AgentKind.DICTIONARY_BOT, "n_dictionary_bot"),
+    (AgentKind.PROFILE_HARVESTER, "n_profile_harvester"),
+    (AgentKind.VIEW_BOT, "n_view_bot"),
+)
 
 
 @dataclass
@@ -101,68 +114,41 @@ class TrafficMix:
     view_bot_target: Optional[str] = None  # advertiser whose audience view bots fake
 
     def total(self) -> int:
-        return (
-            self.n_benign
-            + self.n_random_bot
-            + self.n_trained_bot
-            + self.n_dictionary_bot
-            + self.n_profile_harvester
-            + self.n_view_bot
-        )
+        return sum(getattr(self, name) for _, name in _COHORT_ORDER)
 
-    def validate(self, path: str = "mix") -> None:
-        for name in (
-            "n_benign",
-            "n_random_bot",
-            "n_trained_bot",
-            "n_dictionary_bot",
-            "n_profile_harvester",
-            "n_view_bot",
-        ):
+    def validate(self, topic_dim: int) -> None:
+        """Raise ``ConfigError`` unless the mix is a valid population whose
+        topic ranges lie within ``topic_dim`` topics."""
+        for _, name in _COHORT_ORDER:
             if getattr(self, name) < 0:
-                raise ConfigError(f"{path}.{name} must be non-negative")
+                raise ConfigError(f"mix.{name} must be non-negative")
         if self.total() <= 0:
-            raise ConfigError(f"{path}: total population must be positive")
+            raise ConfigError("mix: total population must be positive")
         if self.ip_sharing_factor < 1:
-            raise ConfigError(f"{path}.ip_sharing_factor must be >= 1")
+            raise ConfigError("mix.ip_sharing_factor must be >= 1")
         # Beyond these address spaces, unrelated agents would share an IP.
         if self.n_benign > MAX_BENIGN:
-            raise ConfigError(f"{path}.n_benign exceeds the {MAX_BENIGN} addresses of 10.0.0.0/8")
+            raise ConfigError(f"mix.n_benign exceeds the {MAX_BENIGN} addresses of 10.0.0.0/8")
         bot_groups = -(-(self.total() - self.n_benign) // self.ip_sharing_factor)
         if bot_groups > MAX_BOT_IP_GROUPS:
             raise ConfigError(
-                f"{path}: {bot_groups} bot IP groups exceed the {MAX_BOT_IP_GROUPS} "
+                f"mix: {bot_groups} bot IP groups exceed the {MAX_BOT_IP_GROUPS} "
                 "addresses of 172.16.0.0/12; raise ip_sharing_factor or shrink the bot cohorts"
             )
         if self.region_count < 1:
-            raise ConfigError(f"{path}.region_count must be >= 1")
+            raise ConfigError("mix.region_count must be >= 1")
         if self.benign_topics < 2:
-            raise ConfigError(f"{path}.benign_topics must be >= 2")
+            raise ConfigError("mix.benign_topics must be >= 2")
         for name in ("attack_topics", "harvest_topics"):
             lo, hi = getattr(self, name)
             if not 0 <= lo < hi:
-                raise ConfigError(f"{path}.{name} must be a non-empty (lo, hi) range")
-
-    def validate_topics(self, topic_dim: int, path: str = "mix") -> None:
-        """Every topic range of the mix must lie within ``topic_dim`` topics."""
+                raise ConfigError(f"mix.{name} must be a non-empty (lo, hi) range")
         if self.benign_topics > topic_dim:
-            raise ConfigError(f"{path}.benign_topics exceeds topic_dim {topic_dim}")
+            raise ConfigError(f"mix.benign_topics exceeds topic_dim {topic_dim}")
         for name in ("attack_topics", "harvest_topics"):
             lo, hi = getattr(self, name)
             if hi > topic_dim:
-                raise ConfigError(f"{path}.{name} ({lo}, {hi}) exceeds topic_dim {topic_dim}")
-
-
-# Cohorts in id order.  View bots come last so that adding a view-fraud
-# cohort to an existing scenario leaves every other agent's id unchanged.
-_COHORT_ORDER = (
-    (AgentKind.BENIGN, "n_benign"),
-    (AgentKind.RANDOM_BOT, "n_random_bot"),
-    (AgentKind.TRAINED_BOT, "n_trained_bot"),
-    (AgentKind.DICTIONARY_BOT, "n_dictionary_bot"),
-    (AgentKind.PROFILE_HARVESTER, "n_profile_harvester"),
-    (AgentKind.VIEW_BOT, "n_view_bot"),
-)
+                raise ConfigError(f"mix.{name} ({lo}, {hi}) exceeds topic_dim {topic_dim}")
 
 _MIMIC_KINDS = frozenset({AgentKind.BENIGN, AgentKind.TRAINED_BOT, AgentKind.DICTIONARY_BOT})
 
@@ -188,8 +174,7 @@ def build_population(
     audience of ``view_bot_target`` (default: first campaign) so their
     impressions land on that campaign.
     """
-    mix.validate()
-    mix.validate_topics(topic_dim)
+    mix.validate(topic_dim)
 
     agents: list[Agent] = []
     ip_regions: dict[str, int] = {}
@@ -339,14 +324,9 @@ def _sessions(agents: list, behavior: BehaviorParams, horizon_ms: int, diurnal: 
     Benign (and mimicking bot) session starts follow a per-day Poisson count
     placed by the diurnal hour weights; random bots, harvesters and view bots
     arrive uniformly over the horizon.  Pages within a session are spaced by
-    exponential gaps, so a session's timestamps strictly increase.
+    exponential gaps, so a session's timestamps strictly increase.  The
+    inputs are a validated scenario's; a zero horizon yields nothing.
     """
-    if not agents:
-        raise ConfigError("cannot plan sessions for an empty population")
-    if len(diurnal) != 24 or any(w < 0 for w in diurnal) or not any(w > 0 for w in diurnal):
-        raise ConfigError("diurnal curve must be 24 non-negative weights, not all zero")
-    if horizon_ms <= 0:
-        return
     days = horizon_ms // MS_PER_DAY
     for agent in agents:
         rng = SplitMix64.for_stream(seed, STREAM_TRAFFIC, instance=agent.index)
@@ -375,10 +355,13 @@ def _sessions(agents: list, behavior: BehaviorParams, horizon_ms: int, diurnal: 
 def run_traffic(config, broker: Broker) -> tuple:
     """Drive the serve -> decide -> record loop for a whole scenario.
 
-    Returns (events in ``event_sort_key`` order, truth map agent_id ->
-    AgentKind, ip_regions).  The events are those ``_serve`` yields, gathered
-    in one list; it raises the same ``ConfigError``.
+    Validates ``config`` first, raising ``ConfigError`` naming the field;
+    past that the serve path trusts it.  Returns (events in
+    ``event_sort_key`` order, truth map agent_id -> AgentKind, ip_regions).
+    The events are those ``_serve`` yields, gathered in one list; it raises
+    the same ``ConfigError``.
     """
+    config.validate()
     truth, ip_regions, batches = _serve(config, broker)
     events: list[Event] = []
     for batch in batches:
@@ -398,13 +381,13 @@ def _serve(config, broker: Broker) -> tuple:
     page is served, so daily budget resets see monotone time and the broker
     can drop pages no click can reach any more.
 
-    Raises ``ConfigError``, while iterating, when an agent reaches
+    ``config`` must be validated (``run_traffic``, ``run`` and ``sweep`` do
+    so).  Raises ``ConfigError``, while iterating, when an agent reaches
     ``MAX_PAGES_PER_AGENT`` page views, where its ids would alias another
     agent's.
     """
     campaign_targeting = {c.advertiser_id: c.targeting for c in config.campaigns}
     agents, ip_regions = build_population(config.mix, config.topic_dim, config.seed, campaign_targeting)
-    config.behavior.validate()
     truth = {a.agent_id: a.kind for a in agents}
     return truth, ip_regions, _event_batches(config, broker, agents)
 

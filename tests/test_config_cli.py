@@ -1,3 +1,4 @@
+import copy
 import hashlib
 import re
 
@@ -204,6 +205,17 @@ def test_preset_with_overrides(tmp_path):
     assert cfg.mix.n_random_bot == 30
 
 
+def test_loading_presets_leaves_them_unchanged(tmp_path):
+    # Every load merges from the same PRESETS dicts; none may take an override.
+    before = copy.deepcopy(PRESETS)
+    overrides = {"mix": {"n_benign": 7}, "behavior": {"dictionary_skill": 0.5}, "injection": {"rho": 0.3}}
+    for name in PRESETS:
+        cfg = load_config(write_config(tmp_path, {"preset": name, **overrides}))
+        assert (cfg.mix.n_benign, cfg.behavior.dictionary_skill, cfg.injection.rho) == (7, 0.5, 0.3)
+        load_config(name)
+    assert PRESETS == before
+
+
 def test_unknown_preset_rejected(tmp_path):
     with pytest.raises(ConfigError, match="unknown preset"):
         load_config(write_config(tmp_path, {"preset": "nope"}))
@@ -404,9 +416,11 @@ def test_sweep_checks_the_stream_once(monkeypatch):
         ("detector.min_clicks", [5, 1, 300, 100]),
         # Scoring only: every row reuses one scan.
         ("detector.p0", [0.02, 0.005, 0.05]),
-        # Traffic side: each value gets a pass of its own.
+        # Traffic side: each value that changes the traffic gets a pass of its own.
         ("injection.rho", [0.0, 0.1, 0.3]),
         ("behavior.bot_click_rate", [0.2, 0.6, 0.9]),
+        # Repeats that are not consecutive are served again.
+        ("injection.rho", [0.1, 0.3, 0.1]),
     ],
 )
 def test_sweep_rows_equal_separate_runs(param, values):

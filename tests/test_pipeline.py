@@ -2,8 +2,8 @@
 equal the in-memory path's, a failed run leaves nothing behind, and its
 memory does not grow with the events it writes.  Every ``sweep``, on the
 detector side or the traffic side, streams through the same pass, validates
-every value before any traffic runs, and serves nothing when given no
-values."""
+every value before any traffic runs, serves nothing when given no values
+and serves consecutive values that leave the traffic unchanged once."""
 
 import tracemalloc
 
@@ -118,6 +118,13 @@ def test_empty_sweep_serves_nothing(tmp_path, monkeypatch, param):
     assert (tmp_path / "sweep_summary.csv").read_text().splitlines() == [
         "param,value," + ",".join(pipeline.SUMMARY_METRICS)
     ]
+
+
+def test_repeated_traffic_values_share_one_pass(monkeypatch):
+    served = counting_serve(monkeypatch)
+    rows = sweep(small_config(horizon_days=2), "injection.rho", [0.1, 0.1, 0.1])
+    assert len(served) == 1
+    assert rows[0] == rows[1] == rows[2]
 
 
 @pytest.mark.parametrize("param,values", [("injection.rho", [0.1, 1.5]), ("detector.p0", [0.02, 1.5])])

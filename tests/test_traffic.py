@@ -251,8 +251,8 @@ def test_population_beyond_address_space_rejected(mix):
 
 
 def test_population_at_address_space_limit_validates():
-    TrafficMix(n_benign=1 << 24, n_random_bot=0, n_trained_bot=0).validate()
-    TrafficMix(n_benign=1, n_random_bot=1 << 21, n_trained_bot=0, ip_sharing_factor=2).validate()
+    TrafficMix(n_benign=1 << 24, n_random_bot=0, n_trained_bot=0).validate(D)
+    TrafficMix(n_benign=1, n_random_bot=1 << 21, n_trained_bot=0, ip_sharing_factor=2).validate(D)
 
 
 def test_population_ids_stable_when_view_bots_added():
@@ -278,8 +278,10 @@ def test_zero_horizon_means_no_sessions():
 
 
 def test_empty_population_rejected():
-    with pytest.raises(ConfigError):
-        list(traffic._sessions([], BehaviorParams(), MS_PER_DAY, flat_diurnal(), seed=1))
+    cfg = small_config()
+    cfg.mix.n_benign = cfg.mix.n_random_bot = cfg.mix.n_trained_bot = 0
+    with pytest.raises(ConfigError, match="mix"):
+        run_traffic(cfg, build_broker(cfg))
 
 
 def test_benign_poisson_page_volume():
