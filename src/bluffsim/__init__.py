@@ -34,7 +34,6 @@ from .domain import (
 from .metrics import (
     Confusion,
     EconomicSummary,
-    bluff_impression_share,
     confusion,
     economics,
     f1,
@@ -47,7 +46,6 @@ from .rng import SplitMix64
 from .traffic import (
     BehaviorParams,
     TrafficMix,
-    benign_click_prob,
     build_population,
     decide_clicks,
     run_traffic,

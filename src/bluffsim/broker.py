@@ -119,6 +119,7 @@ class Broker:
         self.ledger = BillingLedger()
         self.rel = RelevanceCache()
         self.overhead_micros = 0  # score value of real ads displaced by decoys
+        self.decoy_impressions = 0  # slots served with a decoy; real ones count in ``quality``
         # Open pages, (agent_id, page_id) -> (t, slate), in two generations:
         # those served since ``_rotated_at`` and those of the generation
         # before.  See ``serve_page``.
@@ -274,7 +275,8 @@ class Broker:
         Starts from the ranked real slate; each slot is independently
         replaced by a decoy with probability rho (untargeted decoy with
         probability type_b_share, else one built for this profile).
-        Replaced real ads receive no impression.
+        Replaced real ads receive no impression.  Every served slot is metered:
+        a decoy in ``decoy_impressions``, a real ad in its ``quality`` entry.
 
         The page stays open for clicks until ``MAX_DWELL_MS`` after ``t``.
         Pages are kept in two generations; when more than ``MAX_DWELL_MS``
@@ -295,6 +297,7 @@ class Broker:
             if inj.rho > 0.0 and rng.random() < inj.rho:
                 displaced = slate[i]
                 self.overhead_micros += int(round(self.score(profile, displaced)))
+                self.decoy_impressions += 1
                 if rng.random() < inj.type_b_share:
                     slate[i] = self.make_bluff_b(rng)
                 else:

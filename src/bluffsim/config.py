@@ -250,7 +250,9 @@ def load_config(source: str) -> ScenarioConfig:
     path = Path(source)
     if path.exists():
         try:
-            data = yaml.safe_load(path.read_text())
+            data = yaml.safe_load(path.read_text(encoding="utf-8"))
+        except (OSError, UnicodeDecodeError) as exc:
+            raise ConfigError(f"{source}: cannot read config file: {exc}") from exc
         except yaml.YAMLError as exc:
             raise ConfigError(f"{source}: YAML parse error: {exc}") from exc
         if data is None:

@@ -1,8 +1,10 @@
-"""Joins detection verdicts with ground truth and billing records.
+"""Joins detection verdicts with ground truth and with what the broker metered.
 
 Classification is agent-level: an agent is a positive if its true kind is
 anything other than benign.  These functions run after a scenario and are
-pure over the run's immutable outputs.
+pure over the run's outputs.  The economics read the broker's own counts
+(ledger, decoy overhead, real and decoy impressions); nothing here walks
+the event stream except the test helper ``mean_slate_rank``.
 """
 
 from __future__ import annotations
@@ -10,7 +12,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from .domain import AdKind, AgentKind, EventType
+from .domain import AgentKind, EventType
 
 
 @dataclass
@@ -113,48 +115,15 @@ class EconomicSummary:
     bluff_slot_overhead_micros: int  # score value of real ads displaced by decoys
 
 
-class ImpressionCount:
-    """Impressions and decoy impressions of an event stream, fed in pieces."""
-
-    __slots__ = ("impressions", "bluff_impressions")
-
-    def __init__(self):
-        self.impressions = 0
-        self.bluff_impressions = 0
-
-    def feed(self, events) -> None:
-        impression = EventType.IMPRESSION
-        real = AdKind.REAL
-        impressions = bluff_impressions = 0
-        for _, etype, _, _, _, _, ad_kind, _ in events:
-            if etype is impression:
-                impressions += 1
-                if ad_kind is not real:
-                    bluff_impressions += 1
-        self.impressions += impressions
-        self.bluff_impressions += bluff_impressions
-
-    def share(self) -> float:
-        """Share of the impressions that showed a decoy; 0 without
-        impressions."""
-        return self.bluff_impressions / self.impressions if self.impressions else 0.0
-
-
-def bluff_impression_share(events) -> float:
-    """Share of the stream's impressions that showed a decoy; 0 without
-    impressions."""
-    counts = ImpressionCount()
-    counts.feed(events)
-    return counts.share()
-
-
-def economics(ledger, reports: dict, truth: dict, overhead_micros: int, bluff_share: float) -> EconomicSummary:
-    """Aggregate spend and decoy-overhead accounting for one run;
-    ``bluff_share`` is the run's ``bluff_impression_share``."""
+def economics(broker, reports: dict, truth: dict) -> EconomicSummary:
+    """Aggregate spend and decoy-overhead accounting for one run, read off
+    the broker that served it: its ledger, its displaced-score overhead and
+    the impressions it metered (decoys in ``decoy_impressions``, real ads in
+    ``quality``).  The bluff impression share is 0 when nothing was served."""
     total = 0
     fraud = 0
     fraud_flagged = 0
-    for entry in ledger.entries:
+    for entry in broker.ledger.entries:
         total += entry.amount_micros
         kind = truth.get(entry.agent_id)
         if kind is not None and kind is not AgentKind.BENIGN:
@@ -162,12 +131,14 @@ def economics(ledger, reports: dict, truth: dict, overhead_micros: int, bluff_sh
             report = reports.get(entry.agent_id)
             if report is not None and report.flagged:
                 fraud_flagged += entry.amount_micros
+    decoys = broker.decoy_impressions
+    impressions = decoys + sum(qs.impressions for qs in broker.quality.values())
     return EconomicSummary(
         total_spend_micros=total,
         fraud_spend_micros=fraud,
         fraud_spend_flagged_micros=fraud_flagged,
-        bluff_impression_share=bluff_share,
-        bluff_slot_overhead_micros=overhead_micros,
+        bluff_impression_share=decoys / impressions if impressions else 0.0,
+        bluff_slot_overhead_micros=broker.overhead_micros,
     )
 
 

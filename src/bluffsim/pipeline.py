@@ -30,8 +30,6 @@ from .domain import AdKind, AdUnit, StreamCheck
 from .metrics import (
     Confusion,
     EconomicSummary,
-    ImpressionCount,
-    bluff_impression_share,
     confusion,
     economics,
     f1,
@@ -122,22 +120,22 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     broker = build_broker(config)
     events, truth, ip_regions = run_traffic(config, broker)
     reports = run_detection(events, config.detector, broker.catalog(), ip_regions, _reference(config))
-    return _evaluate(config, broker, events, truth, reports, bluff_impression_share(events))
+    return _evaluate(config, broker, events, truth, reports)
 
 
 def _reference(config: ScenarioConfig) -> ReferenceProfile:
     return ReferenceProfile.from_config(config.diurnal, config.mix.region_count)
 
 
-def _evaluate(config: ScenarioConfig, broker: Broker, events, truth, reports, share) -> RunResult:
-    """Confusion, AUC and economics of one set of verdicts over one traffic
-    pass whose bluff impression share is ``share``."""
+def _evaluate(config: ScenarioConfig, broker: Broker, events, truth, reports) -> RunResult:
+    """Confusion, AUC and economics of one set of verdicts over the traffic
+    ``broker`` served; the economics read the broker's own counts."""
     conf = confusion(reports, truth)
     try:
         _, auc = roc_points(reports, truth)
     except ValueError:
         auc = None  # single-class population (e.g. benign-only calibration)
-    econ = economics(broker.ledger, reports, truth, broker.overhead_micros, share)
+    econ = economics(broker, reports, truth)
     return RunResult(config, events, truth, reports, conf, econ, auc, broker)
 
 
@@ -268,9 +266,10 @@ def _pass(configs: list, sink):
 
     Each batch of events the serve loop yields, already in final order, is
     checked (raising ``ValueError`` on the first violation), scanned for
-    evidence once per distinct ``accumulation_settings`` among the detectors,
-    counted for the bluff impression share and handed to ``sink``, then
-    dropped: no events list is built.  Results are scored one at a time.
+    evidence once per distinct ``accumulation_settings`` among the detectors
+    and handed to ``sink``, then dropped: no events list is built.  The
+    broker counts the impressions it serves, so nothing here counts them.
+    Results are scored one at a time.
     """
     config = configs[0]
     broker = build_broker(config)
@@ -281,19 +280,16 @@ def _pass(configs: list, sink):
     # Detectors that share accumulation settings gather the same evidence.
     detectors = {accumulation_settings(cfg.detector): cfg.detector for cfg in configs}
     scans = {key: EvidenceScan(detector, catalog, ip_regions, reference) for key, detector in detectors.items()}
-    counts = ImpressionCount()
     for batch in batches:
         check.feed(batch)
         _raise_on_violations(check.violations)
         for scan in scans.values():
             scan.feed(batch)
-        counts.feed(batch)
         sink(batch)
     evidence = {key: scan.evidence() for key, scan in scans.items()}
-    share = counts.share()
     for cfg in configs:
         reports = score_evidence(evidence[accumulation_settings(cfg.detector)], cfg.detector, reference)
-        yield _evaluate(cfg, broker, None, truth, reports, share)
+        yield _evaluate(cfg, broker, None, truth, reports)
 
 
 def run(config: ScenarioConfig, out_dir) -> RunOutputs:

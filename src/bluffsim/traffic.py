@@ -247,66 +247,57 @@ def build_population(
     return agents, ip_regions
 
 
-def benign_click_prob(r: float, behavior: BehaviorParams) -> float:
-    """Benign per-ad click probability, affine in relevance.
-
-    Floor is the accidental rate, ceiling is base_ctr.
-    """
-    if not 0.0 <= r <= 1.0:
-        raise ValueError(f"relevance must be in [0, 1], got {r}")
-    a = behavior.accidental_rate
-    return a + (behavior.base_ctr - a) * r
-
-
 def decide_clicks(
     agent: Agent,
     served: list,
     behavior: BehaviorParams,
     rng: SplitMix64,
     rel: RelevanceCache,
-) -> set:
-    """Which slots of the served slate this agent clicks.
+) -> list:
+    """The slots of the served slate this agent clicks, in slot order.
 
-    Benign users click by content relevance to their true interests.
-    Random and trained bots click every ad at the bot rate.  Dictionary bots
-    do the same but recognize (and skip) a profile-targeted decoy with
-    probability ``dictionary_skill``; specialized untargeted decoys read like
-    real ads to a dictionary lookup, so they get no such treatment.
-    Harvesters click exactly the ads whose content matches their persona at
-    or above the harvest threshold.  View bots never click.
+    Benign users click by content relevance to their true interests, with a
+    probability affine in it: ``accidental_rate`` at relevance 0 (misclicks),
+    ``base_ctr`` at relevance 1.  Random and trained bots click every ad at
+    the bot rate.  Dictionary bots do the same but recognize (and skip) a
+    profile-targeted decoy with probability ``dictionary_skill``; specialized
+    untargeted decoys read like real ads to a dictionary lookup, so they get
+    no such treatment.  Harvesters click, at the bot rate, the ads whose
+    content matches their persona at or above the harvest threshold.  View
+    bots never click.
+
+    The kind is tested once; the draws are one per slot, plus a skill draw on
+    a dictionary bot's ``BLUFF_A`` slots (taken first) and none on a
+    harvester's slots below the threshold.
     """
-    clicked: set[int] = set()
     kind = agent.kind
-    if kind is AgentKind.BENIGN or kind is AgentKind.PROFILE_HARVESTER:
+    random = rng.random
+    if kind is AgentKind.BENIGN:
+        floor = behavior.accidental_rate
+        slope = behavior.base_ctr - floor
         content_rel = rel.content_relevance(agent.profile, served)
-    for slot, ad in enumerate(served):
-        if kind is AgentKind.BENIGN:
-            p = benign_click_prob(content_rel[slot], behavior)
-            if rng.random() < p:
-                clicked.add(slot)
-        elif kind in (AgentKind.RANDOM_BOT, AgentKind.TRAINED_BOT):
-            if rng.random() < behavior.bot_click_rate:
-                clicked.add(slot)
-        elif kind is AgentKind.DICTIONARY_BOT:
-            if ad.kind is AdKind.BLUFF_A:
-                p = (
-                    behavior.accidental_rate
-                    if rng.random() < behavior.dictionary_skill
-                    else behavior.bot_click_rate
-                )
-            else:
-                p = behavior.bot_click_rate
-            if rng.random() < p:
-                clicked.add(slot)
-        elif kind is AgentKind.PROFILE_HARVESTER:
-            if content_rel[slot] >= behavior.harvest_threshold:
-                if rng.random() < behavior.bot_click_rate:
-                    clicked.add(slot)
-        elif kind is AgentKind.VIEW_BOT:
-            continue
-        else:
-            raise ValueError(f"unknown agent kind {kind}")
-    return clicked
+        return [slot for slot, r in enumerate(content_rel) if random() < floor + slope * r]
+    if kind is AgentKind.RANDOM_BOT or kind is AgentKind.TRAINED_BOT:
+        rate = behavior.bot_click_rate
+        return [slot for slot in range(len(served)) if random() < rate]
+    if kind is AgentKind.DICTIONARY_BOT:
+        rate = behavior.bot_click_rate
+        clicked = []
+        for slot, ad in enumerate(served):
+            p = rate
+            if ad.kind is AdKind.BLUFF_A and random() < behavior.dictionary_skill:
+                p = behavior.accidental_rate
+            if random() < p:
+                clicked.append(slot)
+        return clicked
+    if kind is AgentKind.PROFILE_HARVESTER:
+        rate = behavior.bot_click_rate
+        threshold = behavior.harvest_threshold
+        content_rel = rel.content_relevance(agent.profile, served)
+        return [slot for slot, r in enumerate(content_rel) if r >= threshold and random() < rate]
+    if kind is AgentKind.VIEW_BOT:
+        return []
+    raise ValueError(f"unknown agent kind {kind}")
 
 
 def _session_rate(kind: AgentKind, behavior: BehaviorParams) -> float:
@@ -484,8 +475,7 @@ def _event_batches(config, broker: Broker, agents: list):
         unit.sort(key=_AD_ID)
         add(t, unit)
         rng = click_rngs[i]
-        clicked = decide_clicks(agent, slate, behavior, rng, broker.rel)
-        for slot in sorted(clicked):
+        for slot in decide_clicks(agent, slate, behavior, rng, broker.rel):
             ad = slate[slot]
             delay = 1 + rng.randrange(MAX_DWELL_MS)
             heapq.heappush(pending, (t + delay, serial, i, page_id, ad.ad_id, ad.kind, slot))

@@ -226,6 +226,23 @@ def test_missing_source_rejected():
         load_config("/does/not/exist.yaml")
 
 
+def unreadable_source(tmp_path, case) -> str:
+    """A config path that exists but cannot be read as text: a directory,
+    or a file that is not UTF-8."""
+    if case == "directory":
+        return str(tmp_path)
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"seed: 1  # caf\xe9\n")
+    return str(path)
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8"])
+def test_unreadable_source_is_a_config_error(tmp_path, case):
+    source = unreadable_source(tmp_path, case)
+    with pytest.raises(ConfigError, match=re.escape(source) + ": cannot read config file"):
+        load_config(source)
+
+
 # -- echo round trip ---------------------------------------------------------------
 
 # sha256 of each preset's echo, as loaded; pins the key order and formatting.
@@ -266,6 +283,13 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     path = write_config(tmp_path, {"injection": {"rho": 2.0}})
     assert main(["run", "--config", path, "--dry-run"]) == 2
     assert "injection.rho" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("case", ["directory", "not-utf8"])
+def test_cli_unreadable_config_exit_code(tmp_path, capsys, case):
+    source = unreadable_source(tmp_path, case)
+    assert main(["run", "--config", source, "--dry-run"]) == 2
+    assert f"config error: {source}: cannot read config file" in capsys.readouterr().err
 
 
 def test_cli_run_writes_outputs(tmp_path, capsys):

@@ -3,7 +3,9 @@ equal the in-memory path's, a failed run leaves nothing behind, and its
 memory does not grow with the events it writes.  Every ``sweep``, on the
 detector side or the traffic side, streams through the same pass, validates
 every value before any traffic runs, serves nothing when given no values
-and serves consecutive values that leave the traffic unchanged once."""
+and serves consecutive values that leave the traffic unchanged once.  The
+broker's own impression counts, which the bluff impression share is worked
+out from, equal the impressions of the event stream."""
 
 import tracemalloc
 
@@ -12,8 +14,9 @@ import pytest
 from bluffsim import pipeline, traffic
 from bluffsim.broker import ConfigError
 from bluffsim.config import PRESETS, load_config
-from bluffsim.domain import MS_PER_DAY, StreamCheck, StreamViolation
-from bluffsim.pipeline import run, run_scenario, sweep, write_outputs
+from bluffsim.domain import MS_PER_DAY, AdKind, EventType, StreamCheck, StreamViolation
+from bluffsim.metrics import economics
+from bluffsim.pipeline import build_broker, run, run_scenario, sweep, write_outputs
 from bluffsim.traffic import _sessions, build_population
 from conftest import small_config
 
@@ -30,6 +33,47 @@ def test_streamed_run_files_equal_in_memory_run(tmp_path, preset, seed):
     write_outputs(run_scenario(cfg), tmp_path / "in_memory")
     for name in FILES:
         assert (tmp_path / "streamed" / name).read_bytes() == (tmp_path / "in_memory" / name).read_bytes(), name
+
+
+def stream_impressions(events) -> tuple:
+    """(decoy, real) impression events of a stream, counted from the stream."""
+    decoys = real = 0
+    for e in events:
+        if e.etype is EventType.IMPRESSION:
+            if e.ad_kind is AdKind.REAL:
+                real += 1
+            else:
+                decoys += 1
+    return decoys, real
+
+
+# Every preset at seeds 0-2 as it stands, then with no decoys and with
+# every slot a decoy.
+BROKER_COUNT_CASES = [(preset, seed, None) for preset in sorted(PRESETS) for seed in range(3)]
+BROKER_COUNT_CASES += [(preset, 0, rho) for rho in (0.0, 1.0) for preset in sorted(PRESETS)]
+
+
+@pytest.mark.parametrize("preset, seed, rho", BROKER_COUNT_CASES)
+def test_broker_impression_counts_equal_the_stream(preset, seed, rho):
+    cfg = load_config(preset)
+    cfg.seed = seed
+    cfg.horizon_days = 1
+    if rho is not None:
+        cfg.injection.rho = rho
+    res = run_scenario(cfg)
+    decoys, real = stream_impressions(res.events)
+    assert res.broker.decoy_impressions == decoys
+    assert sum(qs.impressions for qs in res.broker.quality.values()) == real
+    share = decoys / (decoys + real) if decoys + real else 0.0
+    assert res.summary_values()["bluff_impression_share"] == share
+    if rho is not None:
+        assert share == rho
+
+
+def test_broker_that_served_nothing_has_no_bluff_share():
+    econ = economics(build_broker(small_config()), {}, {})
+    assert econ.bluff_impression_share == 0.0
+    assert econ.bluff_slot_overhead_micros == 0
 
 
 def test_failed_stream_check_leaves_no_files(tmp_path, monkeypatch):

@@ -29,7 +29,6 @@ from bluffsim.rng import SplitMix64
 from bluffsim.traffic import (
     BehaviorParams,
     TrafficMix,
-    benign_click_prob,
     build_population,
     decide_clicks,
     run_traffic,
@@ -63,19 +62,37 @@ def real_for(topic):
 # -- click model -----------------------------------------------------------------
 
 
+class FixedDraw:
+    """An RNG stub whose every ``random()`` draw is ``value``."""
+
+    def __init__(self, value):
+        self.value = value
+
+    def random(self):
+        return self.value
+
+
+def benign_clicks_at(content, draw):
+    """Whether a benign user with interests on topic 0 clicks an ad with
+    ``content`` when the click draw is ``draw``."""
+    ad = AdUnit("ad-x", AdKind.REAL, content, content, bid_micros=100, advertiser_id="ax")
+    agent = agent_of(AgentKind.BENIGN)
+    return decide_clicks(agent, [ad], BehaviorParams(), FixedDraw(draw), RelevanceCache()) == [0]
+
+
 def test_benign_click_prob_floor_and_ceiling():
-    b = BehaviorParams()
-    assert benign_click_prob(0.0, b) == 0.002
-    assert benign_click_prob(1.0, b) == 0.05
+    # Relevance 0 clicks with exactly accidental_rate, relevance 1 with base_ctr.
+    for content, p in ((basis_vector(D, 1), 0.002), (basis_vector(D, 0), 0.05)):
+        assert benign_clicks_at(content, math.nextafter(p, 0.0))
+        assert not benign_clicks_at(content, p)
 
 
 def test_benign_click_prob_affine_midpoint():
-    assert math.isclose(benign_click_prob(0.5, BehaviorParams()), 0.026, rel_tol=1e-12)
-
-
-def test_benign_click_prob_range_check():
-    with pytest.raises(ValueError):
-        benign_click_prob(1.5, BehaviorParams())
+    # Relevance 0.5 against topic 0: halfway between floor and ceiling.
+    content = (1.0, 1.0, 1.0, 1.0) + (0.0,) * (D - 4)
+    assert relevance(basis_vector(D, 0), content) == 0.5
+    assert benign_clicks_at(content, 0.026 * (1 - 1e-12))
+    assert not benign_clicks_at(content, 0.026 * (1 + 1e-12))
 
 
 def test_view_bot_never_clicks():
@@ -83,7 +100,7 @@ def test_view_bot_never_clicks():
     slate = [real_for(0), real_for(1), bluff_a_for(basis_vector(D, 0))]
     agent = agent_of(AgentKind.VIEW_BOT)
     for _ in range(200):
-        assert decide_clicks(agent, slate, BehaviorParams(), rng, RelevanceCache()) == set()
+        assert decide_clicks(agent, slate, BehaviorParams(), rng, RelevanceCache()) == []
 
 
 def test_perfect_dictionary_skips_all_type_a():
@@ -93,7 +110,7 @@ def test_perfect_dictionary_skips_all_type_a():
     rng = SplitMix64.for_stream(2, 1)
     rel = RelevanceCache()
     for _ in range(500):
-        assert decide_clicks(agent, slate, b, rng, rel) == set()
+        assert decide_clicks(agent, slate, b, rng, rel) == []
 
 
 def test_random_bot_click_rate_law_of_large_numbers():
@@ -116,7 +133,7 @@ def test_harvester_clicks_only_matching_content():
     non_matching = real_for(7)
     rng = SplitMix64.for_stream(4, 1)
     out = decide_clicks(agent, [matching, non_matching], b, rng, RelevanceCache())
-    assert out == {0}
+    assert out == [0]
 
 
 def test_harvester_never_touches_type_a():
@@ -124,7 +141,7 @@ def test_harvester_never_touches_type_a():
     profile = basis_vector(D, 3)
     agent = agent_of(AgentKind.PROFILE_HARVESTER, profile=profile)
     out = decide_clicks(agent, [bluff_a_for(profile)], b, rng=SplitMix64.for_stream(5, 1), rel=RelevanceCache())
-    assert out == set()
+    assert out == []
 
 
 def test_benign_type_a_click_rate_at_accidental_floor():
@@ -152,25 +169,56 @@ def test_unknown_agent_kind_rejected():
 
 
 def reference_clicks(agent, slate, behavior, rng):
-    """Brute force for benign and harvester agents: relevance recomputed
-    from the ad's content for every served ad, no cache."""
-    clicked = set()
+    """Brute force: the kind tested on every slot in one if-chain, relevance
+    recomputed from the ad's content for every served ad (no cache) and the
+    benign click probability spelled out."""
+    clicked = []
+    kind = agent.kind
     for slot, ad in enumerate(slate):
         r = relevance(agent.profile, ad.content)
-        if agent.kind is AgentKind.BENIGN:
-            if rng.random() < benign_click_prob(r, behavior):
-                clicked.add(slot)
-        elif r >= behavior.harvest_threshold and rng.random() < behavior.bot_click_rate:
-            clicked.add(slot)
+        if kind is AgentKind.BENIGN:
+            a = behavior.accidental_rate
+            if rng.random() < a + (behavior.base_ctr - a) * r:
+                clicked.append(slot)
+        elif kind in (AgentKind.RANDOM_BOT, AgentKind.TRAINED_BOT):
+            if rng.random() < behavior.bot_click_rate:
+                clicked.append(slot)
+        elif kind is AgentKind.DICTIONARY_BOT:
+            if ad.kind is AdKind.BLUFF_A:
+                p = (
+                    behavior.accidental_rate
+                    if rng.random() < behavior.dictionary_skill
+                    else behavior.bot_click_rate
+                )
+            else:
+                p = behavior.bot_click_rate
+            if rng.random() < p:
+                clicked.append(slot)
+        elif kind is AgentKind.PROFILE_HARVESTER:
+            if r >= behavior.harvest_threshold:
+                if rng.random() < behavior.bot_click_rate:
+                    clicked.append(slot)
+        elif kind is AgentKind.VIEW_BOT:
+            continue
+        else:
+            raise ValueError(f"unknown agent kind {kind}")
     return clicked
 
 
 @functools.cache
 def click_test_world():
-    """A broker and a roster of benign users and harvesters."""
+    """A broker and a roster of four agents of every kind, in cohort order."""
     cfg = small_config()
-    mix = TrafficMix(n_benign=12, n_random_bot=0, n_trained_bot=0, n_profile_harvester=12)
-    agents, _ = build_population(mix, cfg.topic_dim, 5)
+    mix = TrafficMix(
+        n_benign=4,
+        n_random_bot=4,
+        n_trained_bot=4,
+        n_dictionary_bot=4,
+        n_profile_harvester=4,
+        n_view_bot=4,
+    )
+    targeting = {c.advertiser_id: c.targeting for c in cfg.campaigns}
+    agents, _ = build_population(mix, cfg.topic_dim, 5, campaign_targeting=targeting)
     return build_broker(cfg), agents
 
 
@@ -187,11 +235,19 @@ _SLATE = st.lists(
     pages=st.lists(st.tuples(st.integers(0, 23), _SLATE, st.integers(0, 1 << 32)), min_size=1, max_size=6),
     base_ctr=st.floats(0.3, 1.0),
     harvest_threshold=st.floats(0.0, 1.0),
+    dictionary_skill=st.floats(0.0, 1.0),
 )
-def test_decide_clicks_matches_brute_force_reference(pages, base_ctr, harvest_threshold):
+def test_decide_clicks_matches_brute_force_reference(pages, base_ctr, harvest_threshold, dictionary_skill):
     broker, agents = click_test_world()
+    assert {a.kind for a in agents} == set(AgentKind)
     reals = sorted(ad_id for ad_id, ad in broker.ads.items() if ad.kind is AdKind.REAL)
-    b = BehaviorParams(base_ctr=base_ctr, accidental_rate=0.1, harvest_threshold=harvest_threshold, bot_click_rate=0.7)
+    b = BehaviorParams(
+        base_ctr=base_ctr,
+        accidental_rate=0.1,
+        harvest_threshold=harvest_threshold,
+        bot_click_rate=0.7,
+        dictionary_skill=dictionary_skill,
+    )
     rel = RelevanceCache()  # shared across pages and profiles, as in a run
     for who, entries, click_seed in pages:
         agent = agents[who]
