@@ -128,6 +128,7 @@ class Broker:
         self._rotated_at = 0
         self._day = 0
         self._rows: dict = {}  # profile -> ranking row, see rank_ads
+        self._bluff_a: dict = {}  # profile -> {pool index: AdUnit or None}, see make_bluff_a
 
         for c in campaigns:
             if c.advertiser_id in self.campaigns:
@@ -191,17 +192,34 @@ class Broker:
         Draws from the pool until the relevance bound holds; falls back to a
         basis vector in the profile's minimum-weight coordinate.  A profile so
         dense that even the fallback is related is a configuration error.
+
+        Each distinct profile keeps a memo from pool index to its validated
+        decoy, or None when that pool vector is too related to the profile,
+        so a draw seen before costs one dict lookup.  The memo is bounded by
+        distinct profiles times the pool size, and the draws are the same.
         """
+        memo = self._bluff_a.get(profile)
+        if memo is None:
+            memo = self._bluff_a[profile] = {}
+        pool = self._bluff_pool
         for _ in range(self.injection.bluff_pool_size):
-            ad_id, content = self._bluff_pool[rng.randrange(len(self._bluff_pool))]
-            if self.rel.get(profile, content) < EPSILON_BLUFF:
-                return AdUnit(ad_id=ad_id, kind=AdKind.BLUFF_A, targeting=profile, content=content)
+            k = rng.randrange(len(pool))
+            if k not in memo:
+                ad_id, content = pool[k]
+                memo[k] = (
+                    AdUnit(ad_id, AdKind.BLUFF_A, targeting=profile, content=content)
+                    if self.rel.get(profile, content) < EPSILON_BLUFF
+                    else None
+                )
+            unit = memo[k]
+            if unit is not None:
+                return unit
         min_topic = min(range(len(profile)), key=lambda i: (profile[i], i))
         content = basis_vector(len(profile), min_topic)
-        if self.rel.get(profile, content) >= EPSILON_BLUFF:
+        r = self.rel.get(profile, content)
+        if r >= EPSILON_BLUFF:
             raise ConfigError(
-                "profile is too dense to admit an unrelated decoy "
-                f"(best achievable relevance {self.rel.get(profile, content):.4f})"
+                f"profile is too dense to admit an unrelated decoy (best achievable relevance {r:.4f})"
             )
         return AdUnit(
             ad_id=f"ba-basis{min_topic:02d}",
@@ -234,12 +252,12 @@ class Broker:
 
         Relevance is the only factor fixed per (profile, ad), so each distinct
         profile value gets one cached row of (campaign, ad, QualityScore,
-        relevance) for its ads with non-zero relevance, in ad_id order.  Rows
-        grow with distinct profiles, not with users, and assume the inventory
-        and ad targeting are fixed for the broker's life.  Budget and quality
-        are read live from the row's objects on every call, and the score is
-        the same float expression as ``score``; the stable sort on -score
-        keeps the ad_id tie order.
+        relevance, bid) for its ads with non-zero relevance, in ad_id order.
+        Rows grow with distinct profiles, not with users, and assume the
+        inventory and ad targeting are fixed for the broker's life.  Budget
+        and quality are read live from the row's objects on every call, and
+        the score is the same float expression as ``score``; the stable
+        descending sort keeps the ad_id tie order.
         """
         if slots < 1:
             raise ValueError("slots must be >= 1")
@@ -249,17 +267,17 @@ class Broker:
             for c, ad, qs in self._inventory:
                 r = self.rel.get(profile, ad.targeting)
                 if r > 0.0:
-                    row.append((c, ad, qs, r))
+                    row.append((c, ad, qs, r, ad.bid_micros))
             self._rows[profile] = row
-        scored = []
-        for c, ad, qs, r in row:
-            if c.spent_today_micros >= c.daily_budget_micros:
-                continue
-            s = ad.bid_micros * ((qs.clicks + 1) / (qs.impressions + 2)) * r
-            if s > 0.0:
-                scored.append((-s, ad))
-        scored.sort(key=itemgetter(0))
-        return [ad for _, ad in scored[:slots]]
+        scored = [
+            (bid * ((qs.clicks + 1) / (qs.impressions + 2)) * r, ad)
+            for c, ad, qs, r, bid in row
+            if c.spent_today_micros < c.daily_budget_micros
+        ]
+        scored.sort(key=itemgetter(0), reverse=True)
+        # Scores are never negative, so the zero scores, which are not
+        # served, sort after every positive one.
+        return [ad for s, ad in scored[:slots] if s > 0.0]
 
     def serve_page(
         self,
@@ -292,19 +310,19 @@ class Broker:
             self._rotated_at = t
         self._advance_day(t)
         slate = self.rank_ads(profile, slots)
-        inj = self.injection
-        for i in range(len(slate)):
-            if inj.rho > 0.0 and rng.random() < inj.rho:
-                displaced = slate[i]
-                self.overhead_micros += int(round(self.score(profile, displaced)))
+        rho = self.injection.rho
+        type_b_share = self.injection.type_b_share
+        quality = self.quality
+        for i, ad in enumerate(slate):
+            if rho > 0.0 and rng.random() < rho:
+                self.overhead_micros += int(round(self.score(profile, ad)))
                 self.decoy_impressions += 1
-                if rng.random() < inj.type_b_share:
+                if rng.random() < type_b_share:
                     slate[i] = self.make_bluff_b(rng)
                 else:
                     slate[i] = self.make_bluff_a(profile, rng)
-        for ad in slate:
-            if ad.kind is AdKind.REAL:
-                self.quality[ad.ad_id].impressions += 1
+            else:
+                quality[ad.ad_id].impressions += 1
         self._pages[(agent_id, page_id)] = (t, tuple(slate))
         return slate
 

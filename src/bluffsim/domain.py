@@ -83,11 +83,13 @@ class RelevanceCache:
 
     Topic vectors are hashable tuples, so the cache key is just the pair,
     and every lookup hashes both vectors.  Profiles and ad vectors are static
-    for the life of a run.  Ranking does not look up each (profile, ad) pair
-    per page: ``Broker.rank_ads`` calls ``get`` once per pair to build a
-    per-profile row and reuses the row, and click decisions go through
-    ``content_relevance``, which keeps a row per profile too; in the serving
-    loop the cache mostly answers decoy construction and row misses.
+    for the life of a run.  Serving does not look up each pair per page:
+    ``Broker.rank_ads`` calls ``get`` once per (profile, ad) pair to build a
+    per-profile row and reuses the row; click decisions go through
+    ``content_relevance``, which keeps a row per profile too; and
+    ``Broker.make_bluff_a`` memoises the outcome for each (profile, pool
+    vector).  In the serving loop the cache answers only the misses of those
+    rows and memos.
     """
 
     __slots__ = ("_cache", "_content_rows")
@@ -125,10 +127,11 @@ class RelevanceCache:
         return out
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AdUnit:
     """A single creative: targeting decides who sees it, content is what the
     user actually reads.  Bluff ads are house ads: no advertiser, zero bid.
+    Slotted, since the broker keeps a targeted decoy per (profile, pool vector).
     """
 
     ad_id: str

@@ -9,6 +9,7 @@ draws made by existing ones.
 
 from __future__ import annotations
 
+import functools
 import math
 
 MASK64 = (1 << 64) - 1
@@ -34,6 +35,14 @@ def _mix(z: int) -> int:
     return (z ^ (z >> 31)) & MASK64
 
 
+@functools.lru_cache(maxsize=64, typed=True)
+def _stream_prefix(seed: int, stream: int) -> int:
+    """The state ``for_stream`` folds the instance into: seed mixed, then
+    folded with stream and remixed.  Typed, so that a float seed equal to a
+    cached int seed is still refused."""
+    return _mix(_mix(seed & MASK64) ^ ((stream & MASK64) * GOLDEN & MASK64))
+
+
 class SplitMix64:
     """SplitMix64 generator: state advances by the golden gamma, output is
     the mixed state.  Matches the reference algorithm, so e.g. raw state 0
@@ -51,12 +60,11 @@ class SplitMix64:
 
         The initial state is seed mixed, then folded with stream and instance
         via multiply-by-golden-gamma and remixing.  Distinct tuples give
-        unrelated state trajectories.
+        unrelated state trajectories.  A run derives many instances of few
+        (seed, stream) pairs, so the mixed (seed, stream) prefix comes from a
+        small cache and each call mixes in only the instance.
         """
-        s = _mix(seed & MASK64)
-        s = _mix(s ^ ((stream & MASK64) * GOLDEN & MASK64))
-        s = _mix(s ^ ((instance & MASK64) * GOLDEN & MASK64))
-        return cls(s)
+        return cls(_mix(_stream_prefix(seed, stream) ^ ((instance & MASK64) * GOLDEN & MASK64)))
 
     def next_u64(self) -> int:
         z = self._state = (self._state + GOLDEN) & MASK64

@@ -10,7 +10,9 @@ compare like with like.
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import accumulate
 from operator import itemgetter
 from typing import Optional
 
@@ -308,6 +310,24 @@ def _session_rate(kind: AgentKind, behavior: BehaviorParams) -> float:
     return behavior.bot_sessions_per_day
 
 
+def _hour_draw(weights: tuple):
+    """``rng -> rng.weighted_index(weights)`` for non-negative weights that
+    are not all zero, with their running sums taken once instead of per draw.
+
+    The sums are the same floats, added in the same order, and the one draw
+    is scaled by the same total; the index is the first whose running sum
+    exceeds it, or the last when none does.
+    """
+    cumulative = list(accumulate(weights, initial=0.0))[1:]
+    total = cumulative[-1]
+    last = len(cumulative) - 1
+
+    def draw(rng: SplitMix64) -> int:
+        return min(bisect_right(cumulative, rng.random() * total), last)
+
+    return draw
+
+
 def _sessions(agents: list, behavior: BehaviorParams, horizon_ms: int, diurnal: tuple, seed: int):
     """Yields (agent, page-view timestamps) for every session over the
     horizon, agent by agent, each agent's sessions by start.
@@ -316,9 +336,11 @@ def _sessions(agents: list, behavior: BehaviorParams, horizon_ms: int, diurnal: 
     placed by the diurnal hour weights; random bots, harvesters and view bots
     arrive uniformly over the horizon.  Pages within a session are spaced by
     exponential gaps, so a session's timestamps strictly increase.  The
-    inputs are a validated scenario's; a zero horizon yields nothing.
+    inputs are a validated scenario's; a zero horizon yields nothing.  The
+    diurnal weights are summed once per call (see ``_hour_draw``).
     """
     days = horizon_ms // MS_PER_DAY
+    draw_hour = _hour_draw(diurnal)
     for agent in agents:
         rng = SplitMix64.for_stream(seed, STREAM_TRAFFIC, instance=agent.index)
         rate = _session_rate(agent.kind, behavior)
@@ -327,7 +349,7 @@ def _sessions(agents: list, behavior: BehaviorParams, horizon_ms: int, diurnal: 
             for day in range(days):
                 n = rng.poisson(rate)
                 for _ in range(n):
-                    hour = rng.weighted_index(diurnal)
+                    hour = draw_hour(rng)
                     offset = rng.randrange(MS_PER_HOUR)
                     starts.append(day * MS_PER_DAY + hour * MS_PER_HOUR + offset)
         else:
@@ -418,6 +440,9 @@ def _event_batches(config, broker: Broker, agents: list):
     ]
     impression = EventType.IMPRESSION
     click = EventType.CLICK
+    # Builds an Event from a tuple of its fields without the Python-level
+    # ``Event.__new__`` call: a run makes one per impression.
+    new_event = tuple.__new__
 
     batch: list[Event] = []  # whole groups, in final order
     group: list[Event] = []  # the units at time group_t, as made
@@ -447,7 +472,8 @@ def _event_batches(config, broker: Broker, agents: list):
 
     for view in page_views:
         t, i = divmod(view, n)
-        flush_pending(t)
+        if pending and pending[0][0] <= t:
+            flush_pending(t)
         if len(batch) >= _BATCH_EVENTS:
             yield batch
             batch = []
@@ -468,8 +494,9 @@ def _event_batches(config, broker: Broker, agents: list):
         )
         if not slate:
             continue
+        ip = agent.ip
         unit = [
-            Event(t, impression, agent_id, agent.ip, page_id, ad.ad_id, ad.kind, slot)
+            new_event(Event, (t, impression, agent_id, ip, page_id, ad.ad_id, ad.kind, slot))
             for slot, ad in enumerate(slate)
         ]
         unit.sort(key=_AD_ID)

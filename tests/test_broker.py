@@ -4,7 +4,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bluffsim.broker import Broker, Campaign, ConfigError, InjectionConfig
-from bluffsim.domain import MAX_DWELL_MS, MS_PER_DAY, AdKind, AdUnit, basis_vector, relevance
+from bluffsim.domain import EPSILON_BLUFF, MAX_DWELL_MS, MS_PER_DAY, AdKind, AdUnit, basis_vector, relevance
 from bluffsim.rng import SplitMix64
 from bluffsim.traffic import TrafficMix, build_population
 
@@ -59,6 +59,19 @@ def test_rank_ties_break_by_ad_id():
     broker = make_broker([single_ad_campaign("b", 0, 100), single_ad_campaign("a", 0, 100)])
     slate = broker.rank_ads(basis_vector(D, 0), slots=2)
     assert [ad.ad_id for ad in slate] == ["ad-a", "ad-b"]
+
+
+def test_rank_drops_an_ad_whose_score_underflows_to_zero():
+    # Relevance 5e-324 (the least positive float) puts ad-b in the profile's
+    # row; at quality 1/(10**6 + 2) its score rounds to 0.0, so it is not
+    # served even with a slot to spare.
+    faint = tuple(5e-324 if i == 0 else 1.0 if i == 1 else 0.0 for i in range(D))
+    b = AdUnit("ad-b", AdKind.REAL, faint, faint, bid_micros=100, advertiser_id="b")
+    broker = make_broker([single_ad_campaign("a", 0, 100), Campaign("b", [b], daily_budget_micros=10**9)])
+    broker.quality["ad-b"].impressions = 10**6
+    profile = basis_vector(D, 0)
+    assert relevance(profile, faint) > 0.0 and broker.score(profile, b) == 0.0
+    assert [ad.ad_id for ad in broker.rank_ads(profile, slots=2)] == ["ad-a"]
 
 
 def test_rank_empty_inventory_gives_empty_slate():
@@ -146,6 +159,62 @@ def test_bluff_a_rejects_dense_profile():
     dense = tuple(1.0 / D for _ in range(D))
     with pytest.raises(ConfigError):
         broker.make_bluff_a(dense, rng)
+
+
+def reference_bluff_a(broker, profile, rng):
+    """Brute-force targeted decoy: a fresh unit per call, every draw checked
+    with a fresh relevance, as ``make_bluff_a`` did before its memo."""
+    pool = broker._bluff_pool
+    for _ in range(broker.injection.bluff_pool_size):
+        ad_id, content = pool[rng.randrange(len(pool))]
+        if relevance(profile, content) < EPSILON_BLUFF:
+            return AdUnit(ad_id=ad_id, kind=AdKind.BLUFF_A, targeting=profile, content=content)
+    min_topic = min(range(len(profile)), key=lambda i: (profile[i], i))
+    content = basis_vector(len(profile), min_topic)
+    if relevance(profile, content) >= EPSILON_BLUFF:
+        raise ConfigError(
+            f"profile is too dense to admit an unrelated decoy (best achievable relevance "
+            f"{relevance(profile, content):.4f})"
+        )
+    return AdUnit(ad_id=f"ba-basis{min_topic:02d}", kind=AdKind.BLUFF_A, targeting=profile, content=content)
+
+
+@pytest.mark.parametrize("pool_size", [4, 64])
+def test_bluff_a_memo_matches_brute_force_reference(pool_size):
+    inj = InjectionConfig(rho=0.5, bluff_pool_size=pool_size)
+    broker = Broker([single_ad_campaign("a", 0, 100)], inj, topic_dim=D, seed=3)
+    reference = Broker([single_ad_campaign("a", 0, 100)], inj, topic_dim=D, seed=3)
+    mix = TrafficMix(n_benign=40, n_random_bot=5, n_trained_bot=5, n_dictionary_bot=5, n_profile_harvester=5)
+    agents, _ = build_population(mix, D, seed=3)
+    dense = tuple(1.0 / D for _ in range(D))
+    profiles = [a.profile for a in agents] + [basis_vector(D, t) for t in range(D)] + [dense]
+    # Each pool vector weighs 0.95 on one topic.  A profile with mass on
+    # every topic but one that no pool vector weighs relates to every pool
+    # vector, so only the basis fallback serves it.  A pool of 4 leaves such
+    # a topic free.
+    free_topics = set(range(D)) - {content.index(max(content)) for _, content in broker._bluff_pool}
+    assert free_topics or pool_size == 64
+    profiles += [tuple(0.0 if i == t else 1.0 for i in range(D)) for t in sorted(free_topics)[:1]]
+    rng = SplitMix64.for_stream(3, stream=2)
+    ref_rng = SplitMix64.for_stream(3, stream=2)
+    served_fallback = False
+    for k in range(3000):
+        profile = profiles[(k * 7) % len(profiles)]
+        try:
+            ad = broker.make_bluff_a(profile, rng)
+        except ConfigError as exc:
+            with pytest.raises(ConfigError) as ref_exc:
+                reference_bluff_a(reference, profile, ref_rng)
+            assert str(exc) == str(ref_exc.value)
+            assert profile == dense
+        else:
+            assert ad == reference_bluff_a(reference, profile, ref_rng)
+            served_fallback |= ad.ad_id.startswith("ba-basis")
+        assert rng.next_u64() == ref_rng.next_u64()
+    assert served_fallback == bool(free_topics)
+    distinct = len(set(profiles))
+    assert len(broker._bluff_a) <= distinct
+    assert sum(len(memo) for memo in broker._bluff_a.values()) <= distinct * pool_size
 
 
 def test_bluff_b_untargeted_and_specialized():

@@ -1,9 +1,11 @@
 """Golden outputs: a fast guard that serve-path and detection changes keep
 every output byte identical.
 
-The digests are of a 1-day default-attack run at seed 0.  A change that is
-meant to alter outputs must update them and say why; any other change that
-trips this test altered behaviour by accident.  The events writer is also
+The digests are of 1-day runs at seed 0: default-attack, dictionary-attack
+(the heaviest targeted-decoy path) and default-attack with an uneven
+diurnal curve (every preset's is flat).  A change that is meant to alter
+outputs must update them and say why; any other change that trips these
+tests altered behaviour by accident.  The events writer is also
 checked line by line against ``json.dumps`` on ids no preset produces.
 """
 
@@ -12,6 +14,7 @@ import functools
 import hashlib
 import json
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from bluffsim.config import load_config
@@ -28,14 +31,50 @@ GOLDEN_SHA256 = {
 }
 
 
+def run_digests(cfg, out_dir):
+    """sha256 of each of ``run``'s five files, by file name."""
+    outputs = run(cfg, out_dir)
+    paths = (outputs.events_path, outputs.truth_path, outputs.verdicts_path, outputs.summary_path, outputs.config_path)
+    return {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
+
+
 def test_one_day_default_attack_outputs_match_golden_digests(tmp_path):
     cfg = load_config("default-attack")
     cfg.seed = 0
     cfg.horizon_days = 1
-    outputs = run(cfg, tmp_path)
-    paths = (outputs.events_path, outputs.truth_path, outputs.verdicts_path, outputs.summary_path, outputs.config_path)
-    got = {p.name: hashlib.sha256(p.read_bytes()).hexdigest() for p in paths}
-    assert got == GOLDEN_SHA256
+    assert run_digests(cfg, tmp_path) == GOLDEN_SHA256
+
+
+# Overnight trough with empty first and last hours, a morning and an evening peak.
+UNEVEN_DIURNAL = (0.0, 0.2, 0.1, 0.1, 0.2, 0.5, 1.0, 1.5, 1.75, 1.25, 1.0, 1.1,
+                  1.3, 1.2, 1.0, 0.9, 1.0, 1.4, 2.0, 2.5, 2.25, 1.5, 0.6, 0.0)
+
+MORE_GOLDEN_SHA256 = {
+    "dictionary-attack": {
+        "events.jsonl": "6666a73f7a6a292d72a9abd7eda13bbc8317e793e480bdad8b26dd4f450c4cfa",
+        "truth.csv": "688303be9980fee2bdd0823f265a5928508d821ca3f538296896614c54edde25",
+        "verdicts.csv": "5a5fc86a7f91d68b45769ea2b0c6d9da967109fb123095f3683d47f04bc2a20c",
+        "summary.csv": "a73195697be21a3dac3f3b91b5dfa81db0333db59b6cefef69ba45935b652212",
+        "config.yaml": "d26d71c0d3a9b1713a67f95729ff38ff0ef6af7d52dcfa24a86acd5a139eef0d",
+    },
+    "default-attack-uneven-diurnal": {
+        "events.jsonl": "3a3bbf8ba07181dd515d6f552ff2ceaacdad2eec4ad0a224a1de2b3aee4ce64f",
+        "truth.csv": "65b73f75f2966546ab9e869ddcd9f88ce398299456ad446a94a1ba51a85fa776",
+        "verdicts.csv": "ebb1f85ee613c686cf55f4da65162df412998473a28f3499ec71e619b97e232c",
+        "summary.csv": "c5c848d14b9a305488eef0e9f2115e6a8931a2f76f08467a23cfea37171bf0c4",
+        "config.yaml": "7858520a71dc5c87d8dd48c60134b34aa9021bc245253f5c610d1703f774424c",
+    },
+}
+
+
+@pytest.mark.parametrize("case", sorted(MORE_GOLDEN_SHA256))
+def test_one_day_runs_match_golden_digests(tmp_path, case):
+    cfg = load_config(case.removesuffix("-uneven-diurnal"))
+    cfg.seed = 0
+    cfg.horizon_days = 1
+    if case.endswith("-uneven-diurnal"):
+        cfg.diurnal = UNEVEN_DIURNAL
+    assert run_digests(cfg, tmp_path) == MORE_GOLDEN_SHA256[case]
 
 
 # -- events.jsonl line format ---------------------------------------------------

@@ -1,6 +1,9 @@
+import pytest
 from hypothesis import given, strategies as st
 
+from bluffsim import rng as rng_module
 from bluffsim.rng import GOLDEN, MASK64, SplitMix64, _mix
+from bluffsim.traffic import MAX_PAGES_PER_AGENT
 
 
 def test_reference_vector_from_state_zero():
@@ -127,3 +130,49 @@ def test_for_stream_equals_folded_mix(seed, stream, instance):
     state = _mix(_mix(_mix(seed) ^ (stream * GOLDEN & MASK64)) ^ (instance * GOLDEN & MASK64))
     rng, ref = SplitMix64.for_stream(seed, stream, instance), TwoCallReference(state)
     assert [rng.next_u64() for _ in range(4)] == [ref.next_u64() for _ in range(4)]
+
+
+def three_mix_state(seed, stream, instance):
+    """The stream's initial state derived in full on every call: seed, then
+    stream, then instance, each folded in and mixed."""
+    s = _mix(seed & MASK64)
+    s = _mix(s ^ ((stream & MASK64) * GOLDEN & MASK64))
+    return _mix(s ^ ((instance & MASK64) * GOLDEN & MASK64))
+
+
+_STREAMS = sorted(value for name, value in vars(rng_module).items() if name.startswith("STREAM_"))
+
+
+def test_for_stream_with_cached_prefix_equals_three_mix_reference():
+    # Agent i's page-view streams start at i * 2**20 (traffic._event_batches);
+    # the click streams sit at 2**32 + i.
+    instances = [0, 1, (1 << 32) + 7, MASK64, 1 << 64]
+    for i in (0, 1, 2, 999):
+        instances += [i * 2**20 + counter for counter in (0, 1, MAX_PAGES_PER_AGENT - 1)]
+    assert len(_STREAMS) == 4
+    for seed in (0, 2**64 - 1, 2**64):
+        for stream in _STREAMS:
+            for instance in instances:
+                rng = SplitMix64.for_stream(seed, stream, instance)
+                ref = TwoCallReference(three_mix_state(seed, stream, instance))
+                assert [rng.next_u64() for _ in range(3)] == [ref.next_u64() for _ in range(3)]
+    # Seed 2**64 wraps to seed 0.
+    assert SplitMix64.for_stream(2**64, 1, 5).next_u64() == SplitMix64.for_stream(0, 1, 5).next_u64()
+
+
+def test_for_stream_prefix_cache_evicts_without_changing_streams():
+    maxsize = rng_module._stream_prefix.cache_info().maxsize
+    pairs = [(seed, stream) for seed in range(maxsize) for stream in _STREAMS]
+    assert len(pairs) > maxsize
+    for _ in range(2):  # the second pass finds the first pass's pairs evicted
+        for seed, stream in pairs:
+            for instance in (0, 3, 2**20 + 1):
+                got = SplitMix64.for_stream(seed, stream, instance).next_u64()
+                assert got == TwoCallReference(three_mix_state(seed, stream, instance)).next_u64()
+    assert rng_module._stream_prefix.cache_info().currsize == maxsize
+
+
+def test_for_stream_refuses_a_float_seed_even_when_its_int_is_cached():
+    SplitMix64.for_stream(5, 1, 0)
+    with pytest.raises(TypeError):
+        SplitMix64.for_stream(5.0, 1, 0)

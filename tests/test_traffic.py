@@ -390,6 +390,74 @@ def test_trained_bot_hours_match_diurnal_curve():
     assert result.pvalue > 0.01
 
 
+# Uneven hours: empty at both ends, fractional weights whose running sums
+# round in binary.
+UNEVEN_DIURNAL = (0.0, 0.0, 0.1, 0.3, 0.7, 1.1, 2.5, 0.05, 1.9, 3.3, 0.45, 2.2,
+                  1.0, 0.9, 0.1, 1.7, 2.9, 0.6, 1.25, 1 / 3, 0.8, 1.6, 0.0, 0.0)
+
+
+def test_hour_draw_matches_weighted_index():
+    draw = traffic._hour_draw(UNEVEN_DIURNAL)
+    for seed in range(20):
+        rng, ref = SplitMix64.for_stream(seed, 9), SplitMix64.for_stream(seed, 9)
+        hours = [draw(rng) for _ in range(500)]
+        assert hours == [ref.weighted_index(UNEVEN_DIURNAL) for _ in range(500)]
+        assert {0, 1, 22, 23}.isdisjoint(hours)
+    # Draws at each running sum's share of the total, either side of it, and
+    # 1.0, which no SplitMix64 draw reaches: both pick the last hour there.
+    edges = [0.0, 1.0, 1.0 - 2**-53]
+    running = 0.0
+    total = sum(UNEVEN_DIURNAL)
+    for w in UNEVEN_DIURNAL:
+        running += w
+        u = running / total
+        edges += [u, math.nextafter(u, 0.0), math.nextafter(u, 1.0)]
+    for u in edges:
+        assert draw(FixedDraw(u)) == SplitMix64.weighted_index(FixedDraw(u), UNEVEN_DIURNAL)
+    assert draw(FixedDraw(1.0)) == 23
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.sampled_from((0.0, 0.0, 0.1, 0.25, 1 / 3, 0.7, 1.0, 2.5, 1e-9)), min_size=1, max_size=30).filter(any),
+    st.floats(min_value=0.0, max_value=1.0),
+)
+def test_hour_draw_matches_weighted_index_on_any_weights(weights, u):
+    assert traffic._hour_draw(weights)(FixedDraw(u)) == SplitMix64.weighted_index(FixedDraw(u), weights)
+
+
+def reference_sessions(agents, behavior, horizon_ms, diurnal, seed):
+    """``traffic._sessions`` drawing each session's hour with
+    ``weighted_index``, which sums the weights on every call."""
+    days = horizon_ms // MS_PER_DAY
+    for agent in agents:
+        rng = SplitMix64.for_stream(seed, traffic.STREAM_TRAFFIC, instance=agent.index)
+        rate = traffic._session_rate(agent.kind, behavior)
+        starts = []
+        if agent.kind in traffic._MIMIC_KINDS:
+            for day in range(days):
+                for _ in range(rng.poisson(rate)):
+                    hour = rng.weighted_index(diurnal)
+                    starts.append(day * MS_PER_DAY + hour * MS_PER_HOUR + rng.randrange(MS_PER_HOUR))
+        else:
+            starts = [rng.randrange(horizon_ms) for _ in range(rng.poisson(rate * (horizon_ms / MS_PER_DAY)))]
+        for start in sorted(starts):
+            arrivals = [start]
+            for _ in range(behavior.pages_per_session - 1):
+                arrivals.append(arrivals[-1] + max(1, int(round(rng.expovariate(behavior.page_gap_ms)))))
+            yield agent, tuple(arrivals)
+
+
+def test_sessions_on_uneven_diurnal_match_weighted_index_reference():
+    mix = TrafficMix(n_benign=60, n_random_bot=5, n_trained_bot=5, n_dictionary_bot=5, n_profile_harvester=5)
+    agents, _ = build_population(mix, D, seed=8)
+    behavior = BehaviorParams()
+    got = list(traffic._sessions(agents, behavior, 3 * MS_PER_DAY, UNEVEN_DIURNAL, seed=8))
+    assert got == list(reference_sessions(agents, behavior, 3 * MS_PER_DAY, UNEVEN_DIURNAL, 8))
+    hours = {(arrivals[0] // MS_PER_HOUR) % 24 for agent, arrivals in got if agent.kind is AgentKind.BENIGN}
+    assert len(hours) >= 15 and hours <= {h for h, w in enumerate(UNEVEN_DIURNAL) if w > 0}
+
+
 # -- end-to-end traffic ------------------------------------------------------------
 
 
