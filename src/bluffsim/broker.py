@@ -10,7 +10,7 @@ Decoy ads are house ads: zero bid, no advertiser, and never a ledger entry.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
+from operator import mul
 
 from .domain import (
     EPSILON_BLUFF,
@@ -101,6 +101,12 @@ class Broker:
 
     All mutation happens from the single-threaded simulation loop; reads for
     metric computation take place after the run.
+
+    Once the broker is built, its quality counters and campaign budgets are
+    written only by the broker itself (``serve_page``, ``record_click`` and
+    the day rollover): each write also updates the per-ad ranking weight
+    that ``rank_ads`` reads, so a counter or budget changed from outside
+    would not reach the ranking.
     """
 
     def __init__(
@@ -147,6 +153,13 @@ class Broker:
             ((c, ad, self.quality[ad.ad_id]) for c in campaigns for ad in c.ads),
             key=lambda entry: entry[1].ad_id,
         )
+        # Ranking state in inventory (ad_id) order, see rank_ads.
+        self._index = {ad.ad_id: j for j, (_, ad, _) in enumerate(self._inventory)}
+        self._weights = [0.0] * len(self._inventory)
+        for j in range(len(self._inventory)):
+            self._reweigh(j)
+        self._scores = [0.0] * len(self._inventory)
+        self._score_of = self._scores.__getitem__
 
         pool_rng = SplitMix64.for_stream(seed, stream=STREAM_BLUFF_POOL)
         self._bluff_pool = self._build_bluff_pool(pool_rng)
@@ -234,11 +247,19 @@ class Broker:
 
     # -- serving ------------------------------------------------------------
 
+    def _reweigh(self, j: int) -> None:
+        """Recompute the ranking weight of inventory entry ``j``: bid x quality
+        while its campaign has budget left today, else 0.0."""
+        c, ad, qs = self._inventory[j]
+        self._weights[j] = ad.bid_micros * qs.q if c.spent_today_micros < c.daily_budget_micros else 0.0
+
     def _advance_day(self, t: int) -> None:
         day = t // MS_PER_DAY
         if day != self._day:
             for c in self.campaigns.values():
                 c.spent_today_micros = 0
+            for j in range(len(self._inventory)):
+                self._reweigh(j)
             self._day = day
 
     def score(self, profile: TopicVector, ad: AdUnit) -> float:
@@ -250,34 +271,39 @@ class Broker:
         Zero-score ads (no targeting overlap) are not served.  Ties break by
         ascending ad_id.  May return fewer than ``slots`` ads.
 
-        Relevance is the only factor fixed per (profile, ad), so each distinct
-        profile value gets one cached row of (campaign, ad, QualityScore,
-        relevance, bid) for its ads with non-zero relevance, in ad_id order.
-        Rows grow with distinct profiles, not with users, and assume the
-        inventory and ad targeting are fixed for the broker's life.  Budget
-        and quality are read live from the row's objects on every call, and
-        the score is the same float expression as ``score``; the stable
-        descending sort keeps the ad_id tie order.
+        The broker keeps one weight per ad, bid x quality, or 0.0 once its
+        campaign has spent today's budget, in ad_id order; the broker's own
+        writers keep it current (see ``Broker``).  Relevance is the only
+        factor fixed per (profile, ad), so each distinct profile value gets
+        one cached row of relevances in the same order, 0.0 for unrelated
+        ads.  Rows grow with distinct profiles, not with users, and assume
+        the inventory and ad targeting are fixed for the broker's life.  A
+        page multiplies weights by the row into a score buffer the broker
+        keeps, the same float as ``score``, and sorts the indices by score:
+        the sort is stable and descending, so ties keep the ad_id order, and
+        zero scores sort last.  The buffer holds this page's scores until
+        the next call.
         """
         if slots < 1:
             raise ValueError("slots must be >= 1")
         row = self._rows.get(profile)
         if row is None:
-            row = []
-            for c, ad, qs in self._inventory:
-                r = self.rel.get(profile, ad.targeting)
-                if r > 0.0:
-                    row.append((c, ad, qs, r, ad.bid_micros))
-            self._rows[profile] = row
-        scored = [
-            (bid * ((qs.clicks + 1) / (qs.impressions + 2)) * r, ad)
-            for c, ad, qs, r, bid in row
-            if c.spent_today_micros < c.daily_budget_micros
-        ]
-        scored.sort(key=itemgetter(0), reverse=True)
-        # Scores are never negative, so the zero scores, which are not
-        # served, sort after every positive one.
-        return [ad for s, ad in scored[:slots] if s > 0.0]
+            row = self._rows[profile] = []
+            for _, ad, _ in self._inventory:
+                row.append(self.rel.get(profile, ad.targeting))
+        scores = self._scores
+        scores[:] = map(mul, self._weights, row)
+        top = sorted(range(len(scores)), key=self._score_of, reverse=True)
+        del top[slots:]
+        # Zero scores sort last and are not served.  No comprehension here or
+        # above: one would allocate a function object and closure cells, all
+        # GC-tracked, in every call, and a collection can start at each.
+        while top and scores[top[-1]] <= 0.0:
+            top.pop()
+        inventory = self._inventory
+        for k in range(len(top)):
+            top[k] = inventory[top[k]][1]
+        return top
 
     def serve_page(
         self,
@@ -293,8 +319,10 @@ class Broker:
         Starts from the ranked real slate; each slot is independently
         replaced by a decoy with probability rho (untargeted decoy with
         probability type_b_share, else one built for this profile).
-        Replaced real ads receive no impression.  Every served slot is metered:
-        a decoy in ``decoy_impressions``, a real ad in its ``quality`` entry.
+        Replaced real ads receive no impression, and add the score they were
+        ranked with, read from ``rank_ads``'s buffer, to ``overhead_micros``.
+        Every served slot is metered: a decoy in ``decoy_impressions``, a real
+        ad in its ``quality`` entry, which also updates its ranking weight.
 
         The page stays open for clicks until ``MAX_DWELL_MS`` after ``t``.
         Pages are kept in two generations; when more than ``MAX_DWELL_MS``
@@ -313,9 +341,12 @@ class Broker:
         rho = self.injection.rho
         type_b_share = self.injection.type_b_share
         quality = self.quality
+        index = self._index
         for i, ad in enumerate(slate):
             if rho > 0.0 and rng.random() < rho:
-                self.overhead_micros += int(round(self.score(profile, ad)))
+                # A displaced ad gets no impression, so its weight, and the
+                # score it was ranked with, still hold.
+                self.overhead_micros += int(round(self._scores[index[ad.ad_id]]))
                 self.decoy_impressions += 1
                 if rng.random() < type_b_share:
                     slate[i] = self.make_bluff_b(rng)
@@ -323,6 +354,7 @@ class Broker:
                     slate[i] = self.make_bluff_a(profile, rng)
             else:
                 quality[ad.ad_id].impressions += 1
+                self._reweigh(index[ad.ad_id])
         self._pages[(agent_id, page_id)] = (t, tuple(slate))
         return slate
 
@@ -332,7 +364,9 @@ class Broker:
         """Meter a click and charge the advertiser; returns micros charged.
 
         Decoy clicks are never charged.  The charge is clamped to the
-        campaign's remaining daily budget.
+        campaign's remaining daily budget.  The click updates the ad's ranking
+        weight, and a charge that spends the budget zeroes the weights of all
+        the campaign's ads until the next day.
 
         The click must land on an ad of a page that ``serve_page`` served
         this agent at most ``MAX_DWELL_MS`` earlier, and be recorded before
@@ -353,12 +387,16 @@ class Broker:
         if ad.kind is not AdKind.REAL:
             return 0
         self.quality[ad_id].clicks += 1
+        self._reweigh(self._index[ad_id])
         campaign = self.campaigns[ad.advertiser_id]
         charge = min(ad.bid_micros, campaign.remaining_micros())
         if charge <= 0:
             return 0
         campaign.spent_today_micros += charge
         assert campaign.spent_today_micros <= campaign.daily_budget_micros
+        if campaign.spent_today_micros == campaign.daily_budget_micros:
+            for spent_ad in campaign.ads:
+                self._reweigh(self._index[spent_ad.ad_id])
         self.ledger.append(LedgerEntry(t, campaign.advertiser_id, ad_id, charge, agent_id))
         return charge
 

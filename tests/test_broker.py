@@ -29,12 +29,19 @@ def single_ad_campaign(advertiser, topic, bid, budget=10**9):
 # -- ranking ---------------------------------------------------------------------
 
 
+def serve(broker, profile, slots, t, page):
+    return [ad.ad_id for ad in broker.serve_page(profile, slots, SplitMix64.for_stream(page, 2), t, "u", page)]
+
+
 def test_rank_prefers_higher_quality_at_equal_bid():
     broker = make_broker([single_ad_campaign("a", 0, 100), single_ad_campaign("b", 0, 100)])
+    profile = basis_vector(D, 0)
+    assert serve(broker, profile, 1, 0, 0) == ["ad-a"]  # the ad_id tie
+    # An impression without a click: q_a = 1/3 vs q_b = 1/2.
+    assert [ad.ad_id for ad in broker.rank_ads(profile, slots=2)] == ["ad-b", "ad-a"]
     # Give ad-a a better click record: q_a = 2/3 vs q_b = 1/2.
-    broker.quality["ad-a"].impressions = 1
-    broker.quality["ad-a"].clicks = 1
-    slate = broker.rank_ads(basis_vector(D, 0), slots=2)
+    broker.record_click("ad-a", 1, "u", 0)
+    slate = broker.rank_ads(profile, slots=2)
     assert [ad.ad_id for ad in slate] == ["ad-a", "ad-b"]
 
 
@@ -48,10 +55,22 @@ def test_rank_excludes_exhausted_budget():
 
 def test_rank_hand_computed_score_order():
     # bids (100, 90), q (0.5, 0.6), relevance (1, 1): scores (50, 54).
-    broker = make_broker([single_ad_campaign("a", 0, 100), single_ad_campaign("b", 0, 90)])
-    broker.quality["ad-b"].impressions = 3
-    broker.quality["ad-b"].clicks = 2  # (2+1)/(3+2) = 0.6
-    slate = broker.rank_ads(basis_vector(D, 0), slots=2)
+    a = single_ad_campaign("a", 0, 100, budget=100)
+    broker = make_broker([a, single_ad_campaign("b", 0, 90)])
+    profile = basis_vector(D, 0)
+    # Day 0: ad-a's one click spends its budget, so later pages serve ad-b,
+    # which gets 3 impressions and 2 clicks: (2+1)/(3+2) = 0.6.
+    assert serve(broker, profile, 1, 0, 0) == ["ad-a"]
+    assert broker.record_click("ad-a", 1, "u", 0) == 100
+    for page in (1, 2, 3):
+        assert serve(broker, profile, 1, page * 10, page) == ["ad-b"]
+        if page < 3:
+            broker.record_click("ad-b", page * 10 + 1, "u", page)
+    # Day 1: the budget is back and ad-a (q 2/3) leads until one more
+    # impression without a click brings it to (1+1)/(2+2) = 0.5.
+    assert serve(broker, profile, 1, MS_PER_DAY, 4) == ["ad-a"]
+    assert (broker.quality["ad-a"].q, broker.quality["ad-b"].q) == (0.5, 0.6)
+    slate = broker.rank_ads(profile, slots=2)
     assert [ad.ad_id for ad in slate] == ["ad-b", "ad-a"]
 
 
@@ -63,12 +82,11 @@ def test_rank_ties_break_by_ad_id():
 
 def test_rank_drops_an_ad_whose_score_underflows_to_zero():
     # Relevance 5e-324 (the least positive float) puts ad-b in the profile's
-    # row; at quality 1/(10**6 + 2) its score rounds to 0.0, so it is not
-    # served even with a slot to spare.
+    # row; at bid 1 and the fresh quality 1/2 its score rounds to 0.0, so it
+    # is not served even with a slot to spare.
     faint = tuple(5e-324 if i == 0 else 1.0 if i == 1 else 0.0 for i in range(D))
-    b = AdUnit("ad-b", AdKind.REAL, faint, faint, bid_micros=100, advertiser_id="b")
+    b = AdUnit("ad-b", AdKind.REAL, faint, faint, bid_micros=1, advertiser_id="b")
     broker = make_broker([single_ad_campaign("a", 0, 100), Campaign("b", [b], daily_budget_micros=10**9)])
-    broker.quality["ad-b"].impressions = 10**6
     profile = basis_vector(D, 0)
     assert relevance(profile, faint) > 0.0 and broker.score(profile, b) == 0.0
     assert [ad.ad_id for ad in broker.rank_ads(profile, slots=2)] == ["ad-a"]
@@ -450,38 +468,72 @@ def inventories(draw):
     return campaigns
 
 
+def expected_weight(broker, ad):
+    """bid x quality from the live counters while the campaign has budget."""
+    if broker.campaigns[ad.advertiser_id].remaining_micros() <= 0:
+        return 0.0
+    return ad.bid_micros * broker.quality[ad.ad_id].q
+
+
 operations = st.one_of(
-    st.tuples(st.just("rank"), st.sampled_from(VECTORS), st.integers(1, 6)),
-    st.tuples(st.just("quality"), st.integers(0, 15), st.integers(0, 3), st.integers(0, 3)),
-    st.tuples(st.just("spend"), st.integers(0, 3), st.sampled_from((0, 50, 100, 300))),
+    st.tuples(st.just("serve"), st.sampled_from(VECTORS), st.integers(1, 6)),
+    st.tuples(st.just("click"), st.integers(0, 15), st.integers(0, 5)),
     st.tuples(st.just("next_day"), st.sampled_from(VECTORS), st.integers(1, 6)),
 )
 
 
 @settings(max_examples=200, deadline=None)
-@given(inventories(), st.lists(operations, min_size=1, max_size=25))
-def test_rank_ads_matches_brute_force_reference(campaigns, ops):
-    broker = make_broker(campaigns)
-    ad_ids = sorted(broker.quality)
-    day = 0
+@given(inventories(), st.sampled_from((0.0, 0.5)), st.lists(operations, min_size=1, max_size=25))
+def test_rank_ads_matches_brute_force_reference(campaigns, rho, ops):
+    # Quality counters and budgets reach their states only through the
+    # broker's writers: served impressions, clicks on served slots (which
+    # can spend a budget mid-day) and the day rollover.  After every one,
+    # each cached row and weight must still give the brute-force ranking.
+    broker = make_broker(campaigns, rho=rho)
+    t = 0
     page = 0
+    served = []  # (page, slate) of today's pages, all within the dwell time
     for op in ops:
         kind = op[0]
-        if kind == "quality":
-            # Counters change after the profile's row may have been cached.
-            qs = broker.quality[ad_ids[op[1] % len(ad_ids)]]
-            qs.impressions += op[2] + op[3]
-            qs.clicks += op[3]
-        elif kind == "spend":
-            c = campaigns[op[1] % len(campaigns)]
-            c.spent_today_micros = min(op[2], c.daily_budget_micros)
+        t += 1
+        if kind == "click":
+            if served:
+                page_id, slate = served[op[1] % len(served)]
+                ad = slate[op[2] % len(slate)]
+                broker.record_click(ad.ad_id, t, "u", page_id)
         else:
             _, profile, slots = op
             if kind == "next_day":
                 # serve_page resets every budget at the day boundary.
-                day += 1
-                page += 1
-                broker.serve_page(profile, slots, SplitMix64.for_stream(page, 2), day * MS_PER_DAY, "u", page)
+                t = (t // MS_PER_DAY + 1) * MS_PER_DAY
+                served = []
+            page += 1
+            slate = broker.serve_page(profile, slots, SplitMix64.for_stream(page, 2), t, "u", page)
+            if kind == "next_day":
                 assert all(c.spent_today_micros == 0 for c in campaigns)
+            if slate:
+                served.append((page, slate))
             expected = reference_rank(broker, profile, slots)
             assert broker.rank_ads(profile, slots) == expected
+        for profile in VECTORS:
+            assert broker.rank_ads(profile, 16) == reference_rank(broker, profile, 16)
+        for (_, ad, _), weight in zip(broker._inventory, broker._weights):
+            assert weight == expected_weight(broker, ad)
+
+
+@pytest.mark.parametrize("rho", [1.0, 0.5])
+def test_overhead_is_the_ranked_score_of_each_displaced_ad(rho):
+    broker = make_broker(ten_campaigns(), rho=rho)
+    profiles = [tuple(1.0 if i < 10 else 0.0 for i in range(D))] + list(VECTORS)
+    rng = SplitMix64.for_stream(4, stream=2)
+    expected = 0
+    for page in range(300):
+        profile = profiles[page % len(profiles)]
+        scores = [int(round(broker.score(profile, ad))) for ad in broker.rank_ads(profile, 4)]
+        slate = broker.serve_page(profile, 4, rng, page * 10, "u", page)
+        expected += sum(s for s, ad in zip(scores, slate) if ad.kind is not AdKind.REAL)
+        assert broker.overhead_micros == expected
+        # Clicks move the quality of the ads that later pages rank.
+        for ad in slate[: page % 3]:
+            broker.record_click(ad.ad_id, page * 10 + 1, "u", page)
+    assert expected > 0
