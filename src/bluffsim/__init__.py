@@ -34,6 +34,7 @@ from .domain import (
 from .metrics import (
     Confusion,
     EconomicSummary,
+    Metered,
     confusion,
     economics,
     f1,

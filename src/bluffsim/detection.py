@@ -12,8 +12,8 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field
-from typing import Optional
+from dataclasses import dataclass, field, fields
+from typing import NamedTuple, Optional
 
 from .broker import ConfigError
 from .domain import (
@@ -258,14 +258,27 @@ class SuspicionReport:
     decoy_clicks: int = 0
 
 
-# The detector fields that shape the evidence of one scan; the other fields
-# are read only when the evidence is scored.  ``min_clicks`` is read by both.
+# The detector fields that shape the evidence of one scan.  The scoring reads
+# two of them again: ``min_clicks`` gates the decoy and profile scores, and
+# ``click_cap`` scales the window threshold score.
 ACCUMULATION_FIELDS = ("window_ms", "click_cap", "blacklist_ttl_ms", "min_clicks", "mismatch_epsilon")
+# The detector fields the fuse step reads, and no sub-score does.
+FUSION_FIELDS = ("w_bluff", "w_thresh", "w_profile", "fusion_threshold")
+# Every other field may shape an agent's sub-scores.  Taken from the config's
+# own fields, so a field added later keys the sub-scores unless it is named in
+# ``FUSION_FIELDS``, and sub-scores are never shared across its values.
+SCORING_FIELDS = tuple(f.name for f in fields(DetectorConfig) if f.name not in FUSION_FIELDS)
 
 
 def accumulation_settings(cfg: DetectorConfig) -> tuple:
     """The values of ``ACCUMULATION_FIELDS`` in ``cfg``, in that order."""
     return tuple(getattr(cfg, name) for name in ACCUMULATION_FIELDS)
+
+
+def scoring_settings(cfg: DetectorConfig) -> tuple:
+    """The values of ``SCORING_FIELDS`` in ``cfg``, in that order: configs
+    that agree on them give every agent the same sub-scores."""
+    return tuple(getattr(cfg, name) for name in SCORING_FIELDS)
 
 
 @dataclass
@@ -406,13 +419,27 @@ class EvidenceScan:
         return Evidence(self._ledgers, self._ip_max, blacklisted, accumulation_settings(self._cfg))
 
 
-def score_evidence(evidence: Evidence, cfg: DetectorConfig, reference: ReferenceProfile) -> dict:
-    """Score every agent of ``evidence`` and fuse the scores into verdicts.
+class SubScores(NamedTuple):
+    """One agent's sub-scores before fusion, with the evidence they rest on."""
 
-    Raises ``ValueError`` when ``cfg``'s accumulation settings differ from
-    those the evidence was built with, since the scan would have come out
-    differently.  Agents on a still-active blacklist entry at stream end are
-    flagged regardless of their fused score.
+    s_bluff: float
+    s_thresh: float
+    s_profile: float
+    p_value: float
+    max_window_clicks: int
+    divergence: float
+    blacklisted: bool
+    total_clicks: int
+    decoy_clicks: int
+
+
+def sub_scores(evidence: Evidence, cfg: DetectorConfig, reference: ReferenceProfile) -> dict:
+    """Score every agent of ``evidence`` with the decoy test, the window
+    threshold and the profile divergence; agent_id -> ``SubScores``.
+
+    Reads every detector field but ``FUSION_FIELDS``.  Raises ``ValueError``
+    when ``cfg``'s accumulation settings differ from those the evidence was
+    built with, since the scan would have come out differently.
     """
     cfg.validate()
     settings = accumulation_settings(cfg)
@@ -423,31 +450,40 @@ def score_evidence(evidence: Evidence, cfg: DetectorConfig, reference: Reference
             if built != now
         ]
         raise ValueError("evidence was accumulated with other detector settings: " + ", ".join(stale))
-    reports: dict[str, SuspicionReport] = {}
+    scores: dict[str, SubScores] = {}
     for agent_id, led in evidence.agents.items():
         s_b, p_value = score_bluff(led.total_clicks, led.decoy_clicks, cfg)
         c = evidence.window_max.get(led.ip, 0)
-        s_t = threshold_score(c, cfg)
         s_p, div = profile_divergence(
             led.hour_counts, led.region_counts, led.total_clicks, reference, cfg
         )
-        blacklisted = led.ip in evidence.blacklisted
+        scores[agent_id] = SubScores(
+            s_b, threshold_score(c, cfg), s_p, p_value, c, div,
+            led.ip in evidence.blacklisted, led.total_clicks, led.decoy_clicks,
+        )
+    return scores
+
+
+def fuse_scores(scores: dict, cfg: DetectorConfig) -> dict:
+    """Fuse each agent's ``SubScores`` into a verdict with the fusion weights
+    and threshold of ``cfg``; agent_id -> ``SuspicionReport``.  Reads only
+    ``FUSION_FIELDS``.  Agents on a still-active blacklist entry at stream
+    end are flagged regardless of their fused score."""
+    reports: dict[str, SuspicionReport] = {}
+    for agent_id, (s_b, s_t, s_p, p_value, c, div, blacklisted, total, decoys) in scores.items():
         fused, flagged = fuse(s_b, s_t, s_p, cfg, blacklisted=blacklisted)
         reports[agent_id] = SuspicionReport(
-            agent_id=agent_id,
-            s_bluff=s_b,
-            s_thresh=s_t,
-            s_profile=s_p,
-            fused=fused,
-            flagged=flagged,
-            p_value=p_value,
-            max_window_clicks=c,
-            divergence=div,
-            blacklisted=blacklisted,
-            total_clicks=led.total_clicks,
-            decoy_clicks=led.decoy_clicks,
+            agent_id, s_b, s_t, s_p, fused, flagged, p_value, c, div, blacklisted, total, decoys
         )
     return reports
+
+
+def score_evidence(evidence: Evidence, cfg: DetectorConfig, reference: ReferenceProfile) -> dict:
+    """Score every agent of ``evidence`` and fuse the scores into verdicts:
+    ``fuse_scores`` of ``sub_scores``, so it raises ``ValueError`` as
+    ``sub_scores`` does.  A caller scoring one evidence under several fusion
+    settings can take ``sub_scores`` once and fuse it per setting."""
+    return fuse_scores(sub_scores(evidence, cfg, reference), cfg)
 
 
 def run_detection(

@@ -115,28 +115,49 @@ class EconomicSummary:
     bluff_slot_overhead_micros: int  # score value of real ads displaced by decoys
 
 
-def economics(broker, reports: dict, truth: dict) -> EconomicSummary:
-    """Aggregate spend and decoy-overhead accounting for one run, read off
-    the broker that served it: its ledger, its displaced-score overhead and
+@dataclass
+class Metered:
+    """What the broker of one run metered, read once however many sets of
+    verdicts are then costed against it."""
+
+    total_spend_micros: int
+    fraud_spend_by_agent: dict  # non-benign agent_id -> micros charged for its clicks
+    bluff_impression_share: float
+    bluff_slot_overhead_micros: int
+
+    def summary(self, reports: dict) -> EconomicSummary:
+        """The economics of one set of verdicts: only the fraud spend of the
+        flagged agents depends on them.  Every spend is an int, so the sums
+        are exact in any order."""
+        flagged = 0
+        for agent_id, micros in self.fraud_spend_by_agent.items():
+            report = reports.get(agent_id)
+            if report is not None and report.flagged:
+                flagged += micros
+        fraud = sum(self.fraud_spend_by_agent.values())
+        return EconomicSummary(
+            self.total_spend_micros, fraud, flagged, self.bluff_impression_share, self.bluff_slot_overhead_micros
+        )
+
+
+def economics(broker, truth: dict) -> Metered:
+    """Spend and decoy-overhead accounting for one run, read off the broker
+    that served it: its ledger, walked once, its displaced-score overhead and
     the impressions it metered (decoys in ``decoy_impressions``, real ads in
-    ``quality``).  The bluff impression share is 0 when nothing was served."""
+    ``quality``).  ``Metered.summary`` then costs each set of verdicts.  The
+    bluff impression share is 0 when nothing was served."""
     total = 0
-    fraud = 0
-    fraud_flagged = 0
+    fraud: dict[str, int] = {}
     for entry in broker.ledger.entries:
         total += entry.amount_micros
         kind = truth.get(entry.agent_id)
         if kind is not None and kind is not AgentKind.BENIGN:
-            fraud += entry.amount_micros
-            report = reports.get(entry.agent_id)
-            if report is not None and report.flagged:
-                fraud_flagged += entry.amount_micros
+            fraud[entry.agent_id] = fraud.get(entry.agent_id, 0) + entry.amount_micros
     decoys = broker.decoy_impressions
     impressions = decoys + sum(qs.impressions for qs in broker.quality.values())
-    return EconomicSummary(
+    return Metered(
         total_spend_micros=total,
-        fraud_spend_micros=fraud,
-        fraud_spend_flagged_micros=fraud_flagged,
+        fraud_spend_by_agent=fraud,
         bluff_impression_share=decoys / impressions if impressions else 0.0,
         bluff_slot_overhead_micros=broker.overhead_micros,
     )

@@ -11,7 +11,7 @@ from __future__ import annotations
 import copy
 import json
 import os
-from dataclasses import dataclass, is_dataclass, replace
+from dataclasses import astuple, dataclass, is_dataclass, replace
 from itertools import groupby
 from pathlib import Path
 from typing import Optional
@@ -23,8 +23,10 @@ from .detection import (
     ReferenceProfile,
     _raise_on_violations,
     accumulation_settings,
+    fuse_scores,
     run_detection,
-    score_evidence,
+    scoring_settings,
+    sub_scores,
 )
 from .domain import AdKind, AdUnit, StreamCheck
 from .metrics import (
@@ -120,23 +122,21 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     broker = build_broker(config)
     events, truth, ip_regions = run_traffic(config, broker)
     reports = run_detection(events, config.detector, broker.catalog(), ip_regions, _reference(config))
-    return _evaluate(config, broker, events, truth, reports)
+    econ = economics(broker, truth).summary(reports)
+    return RunResult(config, events, truth, reports, confusion(reports, truth), econ, _auc(reports, truth), broker)
 
 
 def _reference(config: ScenarioConfig) -> ReferenceProfile:
     return ReferenceProfile.from_config(config.diurnal, config.mix.region_count)
 
 
-def _evaluate(config: ScenarioConfig, broker: Broker, events, truth, reports) -> RunResult:
-    """Confusion, AUC and economics of one set of verdicts over the traffic
-    ``broker`` served; the economics read the broker's own counts."""
-    conf = confusion(reports, truth)
+def _auc(reports: dict, truth: dict) -> Optional[float]:
+    """The ROC AUC of ``reports``' fused scores, or None when the
+    population holds one class only (e.g. benign-only calibration)."""
     try:
-        _, auc = roc_points(reports, truth)
+        return roc_points(reports, truth)[1]
     except ValueError:
-        auc = None  # single-class population (e.g. benign-only calibration)
-    econ = economics(broker, reports, truth)
-    return RunResult(config, events, truth, reports, conf, econ, auc, broker)
+        return None
 
 
 def _atomic_write(path: Path, write_fn):
@@ -269,7 +269,13 @@ def _pass(configs: list, sink):
     evidence once per distinct ``accumulation_settings`` among the detectors
     and handed to ``sink``, then dropped: no events list is built.  The
     broker counts the impressions it serves, so nothing here counts them.
-    Results are scored one at a time.
+
+    After the pass the broker's ledger is walked once (``economics``), the
+    agents get their sub-scores once per distinct ``scoring_settings``, and
+    the AUC is taken once per distinct setting of every detector field but
+    ``fusion_threshold``, the one field the fused scores do not read.  Each
+    config then only fuses the sub-scores into its verdicts and costs them;
+    results are yielded one at a time.
     """
     config = configs[0]
     broker = build_broker(config)
@@ -287,9 +293,19 @@ def _pass(configs: list, sink):
             scan.feed(batch)
         sink(batch)
     evidence = {key: scan.evidence() for key, scan in scans.items()}
+    metered = economics(broker, truth)
+    scores, aucs = {}, {}
     for cfg in configs:
-        reports = score_evidence(evidence[accumulation_settings(cfg.detector)], cfg.detector, reference)
-        yield _evaluate(cfg, broker, None, truth, reports)
+        detector = cfg.detector
+        key = scoring_settings(detector)
+        if key not in scores:
+            scores[key] = sub_scores(evidence[accumulation_settings(detector)], detector, reference)
+        reports = fuse_scores(scores[key], detector)
+        auc_key = astuple(replace(detector, fusion_threshold=0.0))
+        if auc_key not in aucs:
+            aucs[auc_key] = _auc(reports, truth)
+        econ = metered.summary(reports)
+        yield RunResult(cfg, None, truth, reports, confusion(reports, truth), econ, aucs[auc_key], broker)
 
 
 def run(config: ScenarioConfig, out_dir) -> RunOutputs:

@@ -445,11 +445,20 @@ def test_sweep_checks_the_stream_once(monkeypatch):
         ("behavior.bot_click_rate", [0.2, 0.6, 0.9]),
         # Repeats that are not consecutive are served again.
         ("injection.rho", [0.1, 0.3, 0.1]),
+        # Fusion only: every row reuses one scoring of the agents.
+        ("detector.fusion_threshold", [0.3, 0.6, 0.3, 0.9]),
+        # Scoring only: each distinct value scores the agents again.
+        ("detector.pvalue_threshold", [1e-4, 1e-2, 1e-8]),
+        ("detector.divergence_threshold", [0.05, 0.005, 0.5]),
+        # Read by both the scan and the scoring.
+        ("detector.click_cap", [10, 3, 40, 10]),
     ],
 )
 def test_sweep_rows_equal_separate_runs(param, values):
     cfg = small_config(seed=7)
     cfg.behavior.bot_click_rate = 0.6  # busy bot IPs, so the window scan matters
+    # Enough weight on the profile score for divergence_threshold to move verdicts.
+    cfg.detector.w_bluff, cfg.detector.w_thresh, cfg.detector.w_profile = 0.4, 0.2, 0.4
     rows = sweep(cfg, param, values)
     section, leaf = param.split(".")
     for row, value in zip(rows, values):

@@ -11,7 +11,7 @@ import tracemalloc
 
 import pytest
 
-from bluffsim import pipeline, traffic
+from bluffsim import detection, pipeline, traffic
 from bluffsim.broker import ConfigError
 from bluffsim.config import PRESETS, load_config
 from bluffsim.domain import MS_PER_DAY, AdKind, EventType, StreamCheck, StreamViolation
@@ -71,7 +71,7 @@ def test_broker_impression_counts_equal_the_stream(preset, seed, rho):
 
 
 def test_broker_that_served_nothing_has_no_bluff_share():
-    econ = economics(build_broker(small_config()), {}, {})
+    econ = economics(build_broker(small_config()), {})
     assert econ.bluff_impression_share == 0.0
     assert econ.bluff_slot_overhead_micros == 0
 
@@ -177,3 +177,35 @@ def test_sweep_validates_every_value_before_serving(monkeypatch, param, values):
     with pytest.raises(ConfigError, match=param.split(".")[1]):
         sweep(small_config(horizon_days=1), param, values)
     assert served == []
+
+
+def counting_scores(monkeypatch):
+    """Count the calls of the decoy test, the profile divergence and the
+    ROC sweep where a run or a sweep calls them."""
+    calls = dict.fromkeys(("binom_tail_pvalue", "profile_divergence", "roc_points"), 0)
+    for module, name in ((detection, "binom_tail_pvalue"), (detection, "profile_divergence"), (pipeline, "roc_points")):
+
+        def counting(*args, _fn=getattr(module, name), _name=name):
+            calls[_name] += 1
+            return _fn(*args)
+
+        monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_sweep_scores_once_per_scoring_setting(monkeypatch):
+    calls = counting_scores(monkeypatch)
+    cfg = small_config(horizon_days=1)
+    run_scenario(cfg)
+    once = dict(calls)
+    assert once["binom_tail_pvalue"] > 0 and once["roc_points"] == 1
+
+    # Sixteen fusion thresholds share one scoring and one AUC.
+    calls.update(dict.fromkeys(calls, 0))
+    sweep(cfg, "detector.fusion_threshold", [round(0.2 + 0.05 * i, 2) for i in range(16)])
+    assert calls == once
+
+    # Two distinct p0 values score twice, the repeat not at all.
+    calls.update(dict.fromkeys(calls, 0))
+    sweep(cfg, "detector.p0", [0.02, 0.005, 0.02])
+    assert calls == {name: 2 * n for name, n in once.items()}
