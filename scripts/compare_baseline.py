@@ -14,28 +14,22 @@ import sys
 
 from bluffsim.config import load_config
 from bluffsim.domain import AgentKind
+from bluffsim.metrics import precision, threshold_curve
 from bluffsim.pipeline import run_scenario
 
 MIN_PRECISION = 0.95
 
 
 def recall_at_matched_precision(res, kind):
+    """Best recall of the ``kind`` cohort at any fusion threshold whose
+    precision is at least ``MIN_PRECISION``; blacklisted agents stay flagged."""
     agents = {a for a, k in res.truth.items() if k is kind}
-    thresholds = sorted({r.fused for r in res.reports.values()}, reverse=True)
+    scored = ((a, r.fused, r.blacklisted) for a, r in res.reports.items())
+    curve = threshold_curve(scored, res.truth, dict.fromkeys(agents, 1))
     best = 0.0
-    for th in thresholds + [float("inf")]:
-        tp = fp = hits = 0
-        for aid, r in res.reports.items():
-            if not (r.blacklisted or r.fused >= th):
-                continue
-            if res.truth[aid] is AgentKind.BENIGN:
-                fp += 1
-            else:
-                tp += 1
-                if res.truth[aid] is kind:
-                    hits += 1
-        precision = tp / (tp + fp) if (tp + fp) else 1.0
-        if precision >= MIN_PRECISION:
+    for th in curve.scores + [float("inf")]:
+        conf, hits = curve.at(th)
+        if precision(conf) >= MIN_PRECISION:
             best = max(best, hits / len(agents))
     return best
 

@@ -87,14 +87,6 @@ class BillingLedger:
     def append(self, entry: LedgerEntry) -> None:
         self.entries.append(entry)
 
-    def per_advertiser_day(self) -> dict:
-        """Map (advertiser_id, day_index) -> total charged that day."""
-        out: dict = {}
-        for e in self.entries:
-            key = (e.advertiser_id, e.t // MS_PER_DAY)
-            out[key] = out.get(key, 0) + e.amount_micros
-        return out
-
 
 class Broker:
     """Single-run broker state: inventory, quality, budgets, decoy machinery.

@@ -2,17 +2,22 @@
 
 Classification is agent-level: an agent is a positive if its true kind is
 anything other than benign.  These functions run after a scenario and are
-pure over the run's outputs.  The economics read the broker's own counts
-(ledger, decoy overhead, real and decoy impressions); nothing here walks
-the event stream except the test helper ``mean_slate_rank``.
+pure over the run's outputs.  ``threshold_curve`` sorts the agents once by
+fused score and answers every fusion threshold's confusion counts and
+flagged fraud spend, and the AUC, from that one order.  The economics read
+the broker's own counts (ledger, decoy overhead, real and decoy
+impressions); nothing here walks the event stream.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
+from itertools import groupby
+from operator import itemgetter
 from typing import Iterable, Optional
 
-from .domain import AgentKind, EventType
+from .domain import AgentKind
 
 
 @dataclass
@@ -65,45 +70,96 @@ def f1(c: Confusion) -> float:
     return 2 * p * r / (p + r) if (p + r) > 0 else 0.0
 
 
-def roc_points(reports: dict, truth: dict) -> tuple:
-    """ROC sweep over the fused scores, plus trapezoidal AUC.
+@dataclass(frozen=True)
+class ThresholdCurve:
+    """What every fusion threshold flags, from one sort of the fused scores.
 
-    Equal scores collapse into a single sweep step, which makes the
-    trapezoidal area equal to the pairwise concordance statistic
-    P(bot > benign) + 0.5 P(tie).  Requires both classes present.
+    ``scores`` holds the distinct fused scores, ascending.  Entry ``i`` of
+    ``tp``, ``fp`` and ``weight`` counts the agents a threshold equal to
+    ``scores[i]`` flags: those whose fused score is at least ``scores[i]``,
+    and the blacklisted ones at any score.  The last entry, one past
+    ``scores``, is a threshold above every score: the blacklisted agents
+    alone.  ``weight`` sums a per-agent int, such as fraud spend.
     """
-    scored = []
-    for agent_id, report in reports.items():
+
+    scores: list
+    tp: list
+    fp: list
+    weight: list
+    n_pos: int
+    n_neg: int
+    auc: Optional[float]  # None when the population holds one class only
+
+    def at(self, threshold: float) -> tuple:
+        """(``Confusion``, flagged weight) at ``threshold``: the flags are
+        those of ``blacklisted or fused >= threshold``."""
+        i = bisect_left(self.scores, threshold)
+        tp, fp = self.tp[i], self.fp[i]
+        return Confusion(tp, fp, self.n_neg - fp, self.n_pos - tp), self.weight[i]
+
+
+def threshold_curve(scored: Iterable, truth: dict, weight: Optional[dict] = None) -> ThresholdCurve:
+    """The ``ThresholdCurve`` of ``scored``, (agent_id, fused score,
+    blacklisted) triples; ``weight`` maps agent_id -> int (0 when absent).
+    Raises ``ValueError`` for an agent missing from ``truth``.
+
+    The AUC is the trapezoidal area under the ROC of the fused scores alone,
+    blacklisted agents at their scores.  Equal scores collapse into a single
+    step, which makes it equal to the pairwise concordance statistic
+    P(bot > benign) + 0.5 P(tie).
+    """
+    weight = weight or {}
+    ranked = []
+    tp = fp = flagged_weight = 0  # what the blacklist flags at any threshold
+    for agent_id, fused, blacklisted in scored:
         kind = truth.get(agent_id)
         if kind is None:
             raise ValueError(f"agent {agent_id} missing from truth labels")
-        scored.append((report.fused, kind is not AgentKind.BENIGN))
-    n_pos = sum(1 for _, pos in scored if pos)
-    n_neg = len(scored) - n_pos
-    if n_pos == 0 or n_neg == 0:
-        raise ValueError("ROC requires at least one positive and one negative agent")
+        positive = kind is not AgentKind.BENIGN
+        w = weight.get(agent_id, 0)
+        if blacklisted:
+            tp += positive
+            fp += not positive
+            flagged_weight += w
+        ranked.append((fused, positive, blacklisted, w))
+    ranked.sort(key=itemgetter(0), reverse=True)
 
-    scored.sort(key=lambda x: -x[0])
-    points = [(0.0, 0.0)]
-    tp = fp = 0
-    # Trapezoid area accumulated as an exact integer numerator so the AUC
-    # equals the pairwise concordance statistic bit-for-bit.
-    numer = 0
-    i = 0
-    while i < len(scored):
-        j = i
-        prev_tp, prev_fp = tp, fp
-        while j < len(scored) and scored[j][0] == scored[i][0]:
-            if scored[j][1]:
-                tp += 1
+    scores, tps, fps, weights = [], [tp], [fp], [flagged_weight]
+    # Every agent at or above the current score, blacklisted or not, for the
+    # ROC; its trapezoid area is kept as an exact integer numerator so the AUC
+    # equals the concordance statistic bit-for-bit.
+    n_pos = n_neg = numer = 0
+    for fused, group in groupby(ranked, key=itemgetter(0)):
+        prev_pos, prev_neg = n_pos, n_neg
+        for _, positive, blacklisted, w in group:
+            if positive:
+                n_pos += 1
             else:
-                fp += 1
-            j += 1
-        numer += (fp - prev_fp) * (prev_tp + tp)
-        points.append((fp / n_neg, tp / n_pos))
-        i = j
-    auc = numer / (2 * n_neg * n_pos)
-    return points, auc
+                n_neg += 1
+            if not blacklisted:
+                tp += positive
+                fp += not positive
+                flagged_weight += w
+        numer += (n_neg - prev_neg) * (prev_pos + n_pos)
+        scores.append(fused)
+        tps.append(tp)
+        fps.append(fp)
+        weights.append(flagged_weight)
+    for column in (scores, tps, fps, weights):
+        column.reverse()
+    auc = numer / (2 * n_neg * n_pos) if n_pos and n_neg else None
+    return ThresholdCurve(scores, tps, fps, weights, n_pos, n_neg, auc)
+
+
+def roc_points(reports: dict, truth: dict) -> tuple:
+    """ROC sweep over the fused scores of ``reports``, highest first, plus
+    the AUC, both read off ``threshold_curve`` with the blacklist left out.
+    Requires both classes present."""
+    curve = threshold_curve(((agent_id, r.fused, False) for agent_id, r in reports.items()), truth)
+    if curve.auc is None:
+        raise ValueError("ROC requires at least one positive and one negative agent")
+    points = [(fp / curve.n_neg, tp / curve.n_pos) for tp, fp in zip(reversed(curve.tp), reversed(curve.fp))]
+    return points, curve.auc
 
 
 @dataclass
@@ -125,18 +181,17 @@ class Metered:
     bluff_impression_share: float
     bluff_slot_overhead_micros: int
 
-    def summary(self, reports: dict) -> EconomicSummary:
-        """The economics of one set of verdicts: only the fraud spend of the
-        flagged agents depends on them.  Every spend is an int, so the sums
-        are exact in any order."""
-        flagged = 0
-        for agent_id, micros in self.fraud_spend_by_agent.items():
-            report = reports.get(agent_id)
-            if report is not None and report.flagged:
-                flagged += micros
+    def summary(self, fraud_spend_flagged_micros: int) -> EconomicSummary:
+        """The economics of one set of verdicts, given the fraud spend of the
+        agents they flag (``ThresholdCurve.at``'s weight over
+        ``fraud_spend_by_agent``); nothing else depends on them."""
         fraud = sum(self.fraud_spend_by_agent.values())
         return EconomicSummary(
-            self.total_spend_micros, fraud, flagged, self.bluff_impression_share, self.bluff_slot_overhead_micros
+            self.total_spend_micros,
+            fraud,
+            fraud_spend_flagged_micros,
+            self.bluff_impression_share,
+            self.bluff_slot_overhead_micros,
         )
 
 
@@ -144,8 +199,9 @@ def economics(broker, truth: dict) -> Metered:
     """Spend and decoy-overhead accounting for one run, read off the broker
     that served it: its ledger, walked once, its displaced-score overhead and
     the impressions it metered (decoys in ``decoy_impressions``, real ads in
-    ``quality``).  ``Metered.summary`` then costs each set of verdicts.  The
-    bluff impression share is 0 when nothing was served."""
+    ``quality``).  ``Metered.summary`` then costs each set of verdicts from
+    their flagged fraud spend.  The bluff impression share is 0 when nothing
+    was served."""
     total = 0
     fraud: dict[str, int] = {}
     for entry in broker.ledger.entries:
@@ -161,22 +217,3 @@ def economics(broker, truth: dict) -> Metered:
         bluff_impression_share=decoys / impressions if impressions else 0.0,
         bluff_slot_overhead_micros=broker.overhead_micros,
     )
-
-
-def mean_slate_rank(events, ad_ids: Iterable, exclude_agents: Optional[set] = None) -> float:
-    """Mean slot index of the given ads' impressions (higher = worse spot).
-
-    ``exclude_agents`` lets paired-run comparisons ignore a cohort that only
-    exists in one of the runs.
-    """
-    wanted = set(ad_ids)
-    exclude = exclude_agents or set()
-    total = 0
-    count = 0
-    for e in events:
-        if e.etype is EventType.IMPRESSION and e.ad_id in wanted and e.agent_id not in exclude:
-            total += e.slot
-            count += 1
-    if count == 0:
-        raise ValueError("no impressions found for the given ads")
-    return total / count

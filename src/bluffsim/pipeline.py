@@ -8,13 +8,13 @@ shortest-roundtrip repr.
 
 from __future__ import annotations
 
-import copy
 import json
 import os
 from dataclasses import astuple, dataclass, is_dataclass, replace
+from functools import cached_property, partial
 from itertools import groupby
 from pathlib import Path
-from typing import Optional
+from typing import Callable, Optional
 
 from .broker import Broker, Campaign, ConfigError
 from .config import ScenarioConfig, _check, _field_types, dump_config
@@ -23,6 +23,7 @@ from .detection import (
     ReferenceProfile,
     _raise_on_violations,
     accumulation_settings,
+    fuse,
     fuse_scores,
     run_detection,
     scoring_settings,
@@ -32,12 +33,13 @@ from .domain import AdKind, AdUnit, StreamCheck
 from .metrics import (
     Confusion,
     EconomicSummary,
-    confusion,
+    Metered,
+    ThresholdCurve,
     economics,
     f1,
     precision,
     recall,
-    roc_points,
+    threshold_curve,
 )
 from .traffic import _serve, run_traffic
 
@@ -58,16 +60,23 @@ SUMMARY_METRICS = (
 class RunResult:
     """In-memory outputs of one scenario run.  Only ``run_scenario`` keeps
     ``events``; it is None from ``_stream``, which hands each batch to a sink
-    (``run``'s events.jsonl writer, or ``sweep``'s, which drops it)."""
+    (``run``'s events.jsonl writer, or ``sweep``'s, which drops it).  The
+    per-agent verdicts, ``reports``, are built by ``build_reports`` when
+    first read: ``run`` reads them for verdicts.csv, a sweep never does."""
 
     config: ScenarioConfig
     events: Optional[list]
     truth: dict
-    reports: dict
+    build_reports: Callable[[], dict]
     conf: Confusion
     econ: EconomicSummary
     auc: Optional[float]
     broker: Broker
+
+    @cached_property
+    def reports(self) -> dict:
+        """agent_id -> ``SuspicionReport``."""
+        return self.build_reports()
 
     def summary_values(self) -> dict:
         return {
@@ -122,21 +131,22 @@ def run_scenario(config: ScenarioConfig) -> RunResult:
     broker = build_broker(config)
     events, truth, ip_regions = run_traffic(config, broker)
     reports = run_detection(events, config.detector, broker.catalog(), ip_regions, _reference(config))
-    econ = economics(broker, truth).summary(reports)
-    return RunResult(config, events, truth, reports, confusion(reports, truth), econ, _auc(reports, truth), broker)
+    metered = economics(broker, truth)
+    scored = ((agent_id, r.fused, r.blacklisted) for agent_id, r in reports.items())
+    curve = threshold_curve(scored, truth, metered.fraud_spend_by_agent)
+    return _result(config, events, truth, lambda: reports, curve, metered, broker)
 
 
 def _reference(config: ScenarioConfig) -> ReferenceProfile:
     return ReferenceProfile.from_config(config.diurnal, config.mix.region_count)
 
 
-def _auc(reports: dict, truth: dict) -> Optional[float]:
-    """The ROC AUC of ``reports``' fused scores, or None when the
-    population holds one class only (e.g. benign-only calibration)."""
-    try:
-        return roc_points(reports, truth)[1]
-    except ValueError:
-        return None
+def _result(config, events, truth, build_reports, curve: ThresholdCurve, metered: Metered, broker) -> RunResult:
+    """The ``RunResult`` of ``config``: its confusion counts and flagged
+    fraud spend are read off ``curve`` at its fusion threshold."""
+    conf, fraud_spend_flagged = curve.at(config.detector.fusion_threshold)
+    econ = metered.summary(fraud_spend_flagged)
+    return RunResult(config, events, truth, build_reports, conf, econ, curve.auc, broker)
 
 
 def _atomic_write(path: Path, write_fn):
@@ -272,10 +282,12 @@ def _pass(configs: list, sink):
 
     After the pass the broker's ledger is walked once (``economics``), the
     agents get their sub-scores once per distinct ``scoring_settings``, and
-    the AUC is taken once per distinct setting of every detector field but
-    ``fusion_threshold``, the one field the fused scores do not read.  Each
-    config then only fuses the sub-scores into its verdicts and costs them;
-    results are yielded one at a time.
+    their fused scores are sorted into a ``threshold_curve`` once per
+    distinct setting of every detector field but ``fusion_threshold``, the
+    one field the fused scores do not read.  Each config then reads its
+    confusion counts, flagged fraud spend and AUC off its curve; its
+    verdicts are fused only if its result's ``reports`` are read.  Results
+    are yielded one at a time.
     """
     config = configs[0]
     broker = build_broker(config)
@@ -294,18 +306,21 @@ def _pass(configs: list, sink):
         sink(batch)
     evidence = {key: scan.evidence() for key, scan in scans.items()}
     metered = economics(broker, truth)
-    scores, aucs = {}, {}
+    scores, curves = {}, {}
     for cfg in configs:
         detector = cfg.detector
         key = scoring_settings(detector)
         if key not in scores:
             scores[key] = sub_scores(evidence[accumulation_settings(detector)], detector, reference)
-        reports = fuse_scores(scores[key], detector)
-        auc_key = astuple(replace(detector, fusion_threshold=0.0))
-        if auc_key not in aucs:
-            aucs[auc_key] = _auc(reports, truth)
-        econ = metered.summary(reports)
-        yield RunResult(cfg, None, truth, reports, confusion(reports, truth), econ, aucs[auc_key], broker)
+        curve_key = astuple(replace(detector, fusion_threshold=0.0))
+        if curve_key not in curves:
+            scored = (
+                (agent_id, fuse(s.s_bluff, s.s_thresh, s.s_profile, detector)[0], s.blacklisted)
+                for agent_id, s in scores[key].items()
+            )
+            curves[curve_key] = threshold_curve(scored, truth, metered.fraud_spend_by_agent)
+        build_reports = partial(fuse_scores, scores[key], detector)
+        yield _result(cfg, None, truth, build_reports, curves[curve_key], metered, broker)
 
 
 def run(config: ScenarioConfig, out_dir) -> RunOutputs:
@@ -325,20 +340,29 @@ def run(config: ScenarioConfig, out_dir) -> RunOutputs:
 # -- parameter sweeps -----------------------------------------------------------
 
 
-def _resolve_parent(config: ScenarioConfig, dotted: str):
-    parts = dotted.split(".")
+def _param_type(config: ScenarioConfig, dotted: str) -> type:
+    """The type of the numeric config field at ``dotted``; a ``ConfigError``
+    if the path names no such field."""
     obj = config
-    for part in parts[:-1]:
+    *sections, leaf = dotted.split(".")
+    for part in sections:
         if not hasattr(obj, part):
             raise ConfigError(f"sweep parameter path {dotted!r}: no section {part!r}")
         obj = getattr(obj, part)
-    leaf = parts[-1]
     if not hasattr(obj, leaf):
         raise ConfigError(f"sweep parameter path {dotted!r}: no field {leaf!r}")
     typ = _field_types(type(obj)).get(leaf) if is_dataclass(obj) else None
     if typ not in (int, float):
         raise ConfigError(f"sweep parameter path {dotted!r} is not numeric")
-    return obj, leaf, typ
+    return typ
+
+
+def _with_value(obj, path: list, value):
+    """``obj`` with the field at ``path`` set to ``value``.  Only the
+    dataclasses along the path are copied (``replace``); every other part
+    is shared with ``obj``, which the pipeline never changes."""
+    name, *rest = path
+    return replace(obj, **{name: _with_value(getattr(obj, name), rest, value) if rest else value})
 
 
 def sweep(config: ScenarioConfig, param: str, values, out_dir=None) -> list:
@@ -353,13 +377,11 @@ def sweep(config: ScenarioConfig, param: str, values, out_dir=None) -> list:
     given, also writes a combined sweep_summary.csv.
     """
     config.validate()
-    _, _, typ = _resolve_parent(config, param)
+    typ = _param_type(config, param)
     checked, configs = [], []
     for value in values:
         value = _check(value, typ, param)
-        cfg_v = copy.deepcopy(config)
-        parent, leaf, _ = _resolve_parent(cfg_v, param)
-        setattr(parent, leaf, value)
+        cfg_v = _with_value(config, param.split("."), value)
         cfg_v.validate()
         checked.append(value)
         configs.append(cfg_v)

@@ -109,20 +109,3 @@ class SplitMix64:
             if total > lam:
                 return n
             n += 1
-
-    def weighted_index(self, weights) -> int:
-        """Index drawn proportionally to the given non-negative weights."""
-        total = 0.0
-        for w in weights:
-            if w < 0:
-                raise ValueError("weights must be non-negative")
-            total += w
-        if total <= 0.0:
-            raise ValueError("weights must not all be zero")
-        x = self.random() * total
-        acc = 0.0
-        for i, w in enumerate(weights):
-            acc += w
-            if x < acc:
-                return i
-        return len(weights) - 1

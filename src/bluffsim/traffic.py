@@ -311,12 +311,11 @@ def _session_rate(kind: AgentKind, behavior: BehaviorParams) -> float:
 
 
 def _hour_draw(weights: tuple):
-    """``rng -> rng.weighted_index(weights)`` for non-negative weights that
-    are not all zero, with their running sums taken once instead of per draw.
-
-    The sums are the same floats, added in the same order, and the one draw
-    is scaled by the same total; the index is the first whose running sum
-    exceeds it, or the last when none does.
+    """``rng ->`` an index drawn proportionally to ``weights``, which are
+    non-negative and not all zero, from one ``rng.random()`` draw scaled by
+    their total.  The running sums are taken once, not per draw; the index
+    is the first whose running sum exceeds the scaled draw, or the last when
+    none does.
     """
     cumulative = list(accumulate(weights, initial=0.0))[1:]
     total = cumulative[-1]

@@ -15,10 +15,10 @@ import pytest
 from bluffsim.config import load_config
 from bluffsim.detection import binom_tail_pvalue
 from bluffsim.domain import AdKind, AgentKind, EventType
-from bluffsim.metrics import mean_slate_rank, precision, recall, roc_points
+from bluffsim.metrics import precision, recall, roc_points
 from bluffsim.pipeline import run, run_scenario
 from bluffsim.rng import SplitMix64
-from conftest import one_ip_max_window
+from conftest import mean_slate_rank, one_ip_max_window, per_advertiser_day
 
 
 def ok(name, detail=""):
@@ -270,7 +270,7 @@ def assert_billing_conserved(res):
         assert ad.kind is AdKind.REAL  # decoys never billed
         assert 0 < e.amount_micros <= ad.bid_micros
     budgets = {c.advertiser_id: c.daily_budget_micros for c in res.broker.campaigns.values()}
-    for (advertiser, _day), spent in ledger.per_advertiser_day().items():
+    for (advertiser, _day), spent in per_advertiser_day(ledger).items():
         assert spent <= budgets[advertiser]
 
 

@@ -7,6 +7,7 @@ from bluffsim.broker import Broker, Campaign, ConfigError, InjectionConfig
 from bluffsim.domain import EPSILON_BLUFF, MAX_DWELL_MS, MS_PER_DAY, AdKind, AdUnit, basis_vector, relevance
 from bluffsim.rng import SplitMix64
 from bluffsim.traffic import TrafficMix, build_population
+from conftest import per_advertiser_day
 
 D = 16
 
@@ -417,7 +418,7 @@ def test_per_advertiser_daily_ledger_within_budget():
         served = broker.serve_page(profile, 1, SplitMix64.for_stream(page, 2), t, "u", page)
         if served:
             broker.record_click(served[0].ad_id, t + 1, "u", page)
-    for (advertiser, _day), spent in broker.ledger.per_advertiser_day().items():
+    for (advertiser, _day), spent in per_advertiser_day(broker.ledger).items():
         assert spent <= broker.campaigns[advertiser].daily_budget_micros
 
 

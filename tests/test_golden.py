@@ -3,7 +3,8 @@ every output byte identical.
 
 The digests are of 1-day runs at seed 0: default-attack, dictionary-attack
 (the heaviest targeted-decoy path) and default-attack with an uneven
-diurnal curve (every preset's is flat).  A change that is meant to alter
+diurnal curve (every preset's is flat), and of a dictionary-attack
+``fusion_threshold`` sweep's sweep_summary.csv.  A change that is meant to alter
 outputs must update them and say why; any other change that trips these
 tests altered behaviour by accident.  The events writer is also
 checked line by line against ``json.dumps`` on ids no preset produces.
@@ -19,7 +20,7 @@ from hypothesis import given, settings, strategies as st
 
 from bluffsim.config import load_config
 from bluffsim.domain import AdKind, Event, EventType
-from bluffsim.pipeline import run, run_scenario, write_outputs
+from bluffsim.pipeline import run, run_scenario, sweep, write_outputs
 from conftest import small_config
 
 GOLDEN_SHA256 = {
@@ -75,6 +76,20 @@ def test_one_day_runs_match_golden_digests(tmp_path, case):
     if case.endswith("-uneven-diurnal"):
         cfg.diurnal = UNEVEN_DIURNAL
     assert run_digests(cfg, tmp_path) == MORE_GOLDEN_SHA256[case]
+
+
+SWEEP_GOLDEN_SHA256 = "bac220f5bfe8351507370341d357466000232d542440fca2f71d8dc4b9eb2a99"
+
+
+def test_one_day_fusion_threshold_sweep_matches_golden_digest(tmp_path):
+    """The benchmark's sixteen thresholds (0.20 .. 0.95) and both ends of the
+    range; 0.0 is the fused score of most of its agents."""
+    cfg = load_config("dictionary-attack")
+    cfg.seed = 0
+    cfg.horizon_days = 1
+    values = [round(0.2 + 0.05 * i, 2) for i in range(16)] + [0.0, 1.0]
+    sweep(cfg, "detector.fusion_threshold", values, tmp_path)
+    assert hashlib.sha256((tmp_path / "sweep_summary.csv").read_bytes()).hexdigest() == SWEEP_GOLDEN_SHA256
 
 
 # -- events.jsonl line format ---------------------------------------------------

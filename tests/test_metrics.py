@@ -1,21 +1,27 @@
 import math
+from dataclasses import replace
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from bluffsim.detection import SuspicionReport
+from bluffsim.config import load_config
+from bluffsim.detection import DetectorConfig, EvidenceScan, SubScores, SuspicionReport, fuse_scores, sub_scores
 from bluffsim.domain import AgentKind
 from bluffsim.metrics import (
     Confusion,
+    EconomicSummary,
+    Metered,
     confusion,
+    economics,
     f1,
-    mean_slate_rank,
     precision,
     recall,
     roc_points,
+    threshold_curve,
 )
-from bluffsim.pipeline import run_scenario
-from conftest import small_config
+from bluffsim.pipeline import _reference, build_broker, run_scenario
+from bluffsim.traffic import run_traffic
+from conftest import mean_slate_rank, small_config
 
 
 def report(agent_id, fused=0.0, flagged=False):
@@ -154,6 +160,157 @@ def test_auc_equals_concordance_exactly(pos, neg):
         truth[f"u{i}"] = AgentKind.BENIGN
     _, auc = roc_points(reports, truth)
     assert auc == concordance(pos, neg)
+
+
+# -- threshold curve -------------------------------------------------------------
+#
+# The curve answers every threshold from one sort.  Its reference fuses every
+# agent's verdict at each threshold (``fuse_scores``), counts the confusion
+# (``confusion``) and sums the flagged agents' fraud spend agent by agent.
+
+
+def reference_summary(metered: Metered, reports: dict) -> EconomicSummary:
+    """The economics of ``reports``' verdicts, the flagged fraud spend summed
+    over the verdicts themselves."""
+    flagged = sum(
+        micros for agent_id, micros in metered.fraud_spend_by_agent.items()
+        if agent_id in reports and reports[agent_id].flagged
+    )
+    return EconomicSummary(
+        metered.total_spend_micros,
+        sum(metered.fraud_spend_by_agent.values()),
+        flagged,
+        metered.bluff_impression_share,
+        metered.bluff_slot_overhead_micros,
+    )
+
+
+def thresholds_around(values) -> list:
+    """0, 1, each value and the floats either side of it."""
+    out = {0.0, 1.0}
+    for v in values:
+        out |= {v, math.nextafter(v, -math.inf), math.nextafter(v, math.inf)}
+    return sorted(out)
+
+
+def assert_curve_matches_reference(scores: dict, detector: DetectorConfig, truth: dict, metered: Metered):
+    fused = fuse_scores(scores, detector)
+    curve = threshold_curve(
+        ((agent_id, r.fused, r.blacklisted) for agent_id, r in fused.items()), truth, metered.fraud_spend_by_agent
+    )
+    for threshold in thresholds_around({r.fused for r in fused.values()}):
+        reports = fuse_scores(scores, replace(detector, fusion_threshold=threshold))
+        conf, flagged_spend = curve.at(threshold)
+        assert conf == confusion(reports, truth), threshold
+        assert metered.summary(flagged_spend) == reference_summary(metered, reports), threshold
+    pos = [r.fused for a, r in fused.items() if truth[a] is not AgentKind.BENIGN]
+    neg = [r.fused for a, r in fused.items() if truth[a] is AgentKind.BENIGN]
+    if pos and neg:
+        assert curve.auc == roc_points(fused, truth)[1] == concordance(pos, neg)
+    else:
+        assert curve.auc is None
+        with pytest.raises(ValueError):
+            roc_points(fused, truth)
+    return curve
+
+
+def sub(s_bluff, s_thresh=0.0, s_profile=0.0, blacklisted=False) -> SubScores:
+    return SubScores(s_bluff, s_thresh, s_profile, 1.0, 0, 0.0, blacklisted, 0, 0)
+
+
+def metered_with(fraud_spend: dict) -> Metered:
+    return Metered(10 * sum(fraud_spend.values()) + 7, fraud_spend, 0.1, 3)
+
+
+def test_curve_on_tied_scores():
+    scores = {f"a{i}": sub(0.5, 0.5, 0.5) for i in range(6)}
+    scores["z"] = sub(0.0)
+    truth = {a: AgentKind.BENIGN if i % 2 else AgentKind.RANDOM_BOT for i, a in enumerate(scores)}
+    metered = metered_with({a: 100 + i for i, a in enumerate(scores) if truth[a] is not AgentKind.BENIGN})
+    curve = assert_curve_matches_reference(scores, DetectorConfig(), truth, metered)
+    assert len(curve.scores) == 2
+
+
+def test_curve_flags_blacklisted_agents_below_the_threshold():
+    scores = {
+        "bot-listed": sub(0.0, blacklisted=True),
+        "ben-listed": sub(0.1, 0.1, 0.1, blacklisted=True),
+        "bot-high": sub(1.0, 1.0),
+        "bot-low": sub(0.2),
+        "ben-low": sub(0.0),
+    }
+    truth = {a: AgentKind.BENIGN if a.startswith("ben") else AgentKind.TRAINED_BOT for a in scores}
+    metered = metered_with({"bot-listed": 5, "bot-high": 50, "bot-low": 500})
+    curve = assert_curve_matches_reference(scores, DetectorConfig(), truth, metered)
+    # Above every score only the blacklist flags.
+    assert curve.at(math.inf) == (Confusion(tp=1, fp=1, tn=1, fn=2), 5)
+
+
+def test_curve_of_one_class_has_no_auc():
+    scores = {f"u{i}": sub(i / 10, blacklisted=i == 3) for i in range(5)}
+    truth = dict.fromkeys(scores, AgentKind.BENIGN)
+    curve = assert_curve_matches_reference(scores, DetectorConfig(), truth, metered_with({}))
+    assert curve.auc is None and curve.n_pos == 0
+
+
+def test_curve_of_no_agents():
+    curve = threshold_curve([], {})
+    assert curve.at(0.5) == (Confusion(), 0) and curve.auc is None
+
+
+def test_curve_agent_missing_from_truth_is_error():
+    with pytest.raises(ValueError, match="missing from truth"):
+        threshold_curve([("x", 0.5, False)], {})
+    with pytest.raises(ValueError, match="missing from truth"):
+        threshold_curve([("x", 0.5, True)], {"y": AgentKind.BENIGN})
+
+
+RUN_CASES = [("default-attack", 10), ("dictionary-attack", 10), ("default-attack", 2)]
+
+
+@pytest.mark.parametrize("preset, click_cap", RUN_CASES)
+def test_curve_matches_reference_on_a_run(preset, click_cap):
+    """Sub-scores of a small 1-day run; a click cap of 2 puts IPs on the
+    blacklist."""
+    cfg = load_config(preset)
+    cfg.mix.n_benign = 60
+    cfg.horizon_days = 1
+    cfg.detector.click_cap = click_cap
+    broker = build_broker(cfg)
+    events, truth, ip_regions = run_traffic(cfg, broker)
+    reference = _reference(cfg)
+    scan = EvidenceScan(cfg.detector, broker.catalog(), ip_regions, reference)
+    scan.feed(events)
+    scores = sub_scores(scan.evidence(), cfg.detector, reference)
+    if click_cap == 2:
+        assert any(s.blacklisted for s in scores.values())
+    for weights in ((0.6, 0.25, 0.15), (0.0, 1.0, 0.0)):
+        detector = replace(cfg.detector, **dict(zip(("w_bluff", "w_thresh", "w_profile"), weights)))
+        assert_curve_matches_reference(scores, detector, truth, economics(broker, truth))
+
+
+_SUB_SCORE = st.one_of(st.sampled_from((0.0, 0.25, 0.5, 1.0)), st.floats(min_value=0.0, max_value=1.0))
+_AGENTS = st.lists(
+    st.tuples(_SUB_SCORE, _SUB_SCORE, _SUB_SCORE, st.booleans(), st.sampled_from(AgentKind), st.integers(0, 10**6)),
+    max_size=25,
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    agents=_AGENTS,
+    weights=st.sampled_from(((0.6, 0.25, 0.15), (1 / 3, 1 / 3, 1 / 3), (1.0, 0.0, 0.0), (0.5, 0.5, 0.0))),
+)
+def test_curve_matches_reference_on_random_sub_scores(agents, weights):
+    scores, truth, spend = {}, {}, {}
+    for i, (s_b, s_t, s_p, blacklisted, kind, micros) in enumerate(agents):
+        agent_id = f"a{i}"
+        scores[agent_id] = sub(s_b, s_t, s_p, blacklisted)
+        truth[agent_id] = kind
+        if kind is not AgentKind.BENIGN and micros:
+            spend[agent_id] = micros
+    detector = DetectorConfig(w_bluff=weights[0], w_thresh=weights[1], w_profile=weights[2])
+    assert_curve_matches_reference(scores, detector, truth, metered_with(spend))
 
 
 # -- economics -------------------------------------------------------------------

@@ -181,9 +181,9 @@ def test_sweep_validates_every_value_before_serving(monkeypatch, param, values):
 
 def counting_scores(monkeypatch):
     """Count the calls of the decoy test, the profile divergence and the
-    ROC sweep where a run or a sweep calls them."""
-    calls = dict.fromkeys(("binom_tail_pvalue", "profile_divergence", "roc_points"), 0)
-    for module, name in ((detection, "binom_tail_pvalue"), (detection, "profile_divergence"), (pipeline, "roc_points")):
+    threshold-curve build where a run or a sweep calls them."""
+    calls = dict.fromkeys(("binom_tail_pvalue", "profile_divergence", "threshold_curve"), 0)
+    for module, name in ((detection, "binom_tail_pvalue"), (detection, "profile_divergence"), (pipeline, "threshold_curve")):
 
         def counting(*args, _fn=getattr(module, name), _name=name):
             calls[_name] += 1
@@ -198,9 +198,9 @@ def test_sweep_scores_once_per_scoring_setting(monkeypatch):
     cfg = small_config(horizon_days=1)
     run_scenario(cfg)
     once = dict(calls)
-    assert once["binom_tail_pvalue"] > 0 and once["roc_points"] == 1
+    assert once["binom_tail_pvalue"] > 0 and once["threshold_curve"] == 1
 
-    # Sixteen fusion thresholds share one scoring and one AUC.
+    # Sixteen fusion thresholds share one scoring and one curve.
     calls.update(dict.fromkeys(calls, 0))
     sweep(cfg, "detector.fusion_threshold", [round(0.2 + 0.05 * i, 2) for i in range(16)])
     assert calls == once

@@ -4,6 +4,7 @@ from hypothesis import given, strategies as st
 from bluffsim import rng as rng_module
 from bluffsim.rng import GOLDEN, MASK64, SplitMix64, _mix
 from bluffsim.traffic import MAX_PAGES_PER_AGENT
+from conftest import weighted_index
 
 
 def test_reference_vector_from_state_zero():
@@ -82,7 +83,7 @@ def test_weighted_index_follows_weights():
     weights = [1.0, 0.0, 3.0]
     counts = [0, 0, 0]
     for _ in range(20_000):
-        counts[rng.weighted_index(weights)] += 1
+        counts[weighted_index(rng, weights)] += 1
     assert counts[1] == 0
     assert abs(counts[2] / 20_000 - 0.75) < 0.02
 

@@ -33,7 +33,7 @@ from bluffsim.traffic import (
     decide_clicks,
     run_traffic,
 )
-from conftest import small_config
+from conftest import small_config, weighted_index
 
 D = 16
 
@@ -401,7 +401,7 @@ def test_hour_draw_matches_weighted_index():
     for seed in range(20):
         rng, ref = SplitMix64.for_stream(seed, 9), SplitMix64.for_stream(seed, 9)
         hours = [draw(rng) for _ in range(500)]
-        assert hours == [ref.weighted_index(UNEVEN_DIURNAL) for _ in range(500)]
+        assert hours == [weighted_index(ref, UNEVEN_DIURNAL) for _ in range(500)]
         assert {0, 1, 22, 23}.isdisjoint(hours)
     # Draws at each running sum's share of the total, either side of it, and
     # 1.0, which no SplitMix64 draw reaches: both pick the last hour there.
@@ -413,7 +413,7 @@ def test_hour_draw_matches_weighted_index():
         u = running / total
         edges += [u, math.nextafter(u, 0.0), math.nextafter(u, 1.0)]
     for u in edges:
-        assert draw(FixedDraw(u)) == SplitMix64.weighted_index(FixedDraw(u), UNEVEN_DIURNAL)
+        assert draw(FixedDraw(u)) == weighted_index(FixedDraw(u), UNEVEN_DIURNAL)
     assert draw(FixedDraw(1.0)) == 23
 
 
@@ -423,7 +423,7 @@ def test_hour_draw_matches_weighted_index():
     st.floats(min_value=0.0, max_value=1.0),
 )
 def test_hour_draw_matches_weighted_index_on_any_weights(weights, u):
-    assert traffic._hour_draw(weights)(FixedDraw(u)) == SplitMix64.weighted_index(FixedDraw(u), weights)
+    assert traffic._hour_draw(weights)(FixedDraw(u)) == weighted_index(FixedDraw(u), weights)
 
 
 def reference_sessions(agents, behavior, horizon_ms, diurnal, seed):
@@ -437,7 +437,7 @@ def reference_sessions(agents, behavior, horizon_ms, diurnal, seed):
         if agent.kind in traffic._MIMIC_KINDS:
             for day in range(days):
                 for _ in range(rng.poisson(rate)):
-                    hour = rng.weighted_index(diurnal)
+                    hour = weighted_index(rng, diurnal)
                     starts.append(day * MS_PER_DAY + hour * MS_PER_HOUR + rng.randrange(MS_PER_HOUR))
         else:
             starts = [rng.randrange(horizon_ms) for _ in range(rng.poisson(rate * (horizon_ms / MS_PER_DAY)))]
