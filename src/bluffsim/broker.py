@@ -67,8 +67,13 @@ class Campaign:
         return self.daily_budget_micros - self.spent_today_micros
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(slots=True)
 class LedgerEntry:
+    """One charge, made only by ``Broker.record_click``; everything else
+    reads entries.  Not frozen: a frozen dataclass's ``__init__`` sets each
+    field through ``object.__setattr__``, which tripled the cost of making
+    one."""
+
     t: int
     advertiser_id: str
     ad_id: str
@@ -79,7 +84,8 @@ class LedgerEntry:
 
 
 class BillingLedger:
-    """Append-only sequence of per-click charges (real ads only)."""
+    """Append-only sequence of per-click charges (real ads only).  Only
+    ``Broker.record_click`` appends, and no entry is changed once made."""
 
     def __init__(self):
         self.entries: list[LedgerEntry] = []
@@ -118,6 +124,7 @@ class Broker:
         self.rel = RelevanceCache()
         self.overhead_micros = 0  # score value of real ads displaced by decoys
         self.decoy_impressions = 0  # slots served with a decoy; real ones count in ``quality``
+        self.clicks_clamped = 0  # real-ad clicks charged below the bid (0 included) by the budget
         # Open pages, (agent_id, page_id) -> (t, slate), in two generations:
         # those served since ``_rotated_at`` and those of the generation
         # before.  See ``serve_page``.
@@ -356,9 +363,10 @@ class Broker:
         """Meter a click and charge the advertiser; returns micros charged.
 
         Decoy clicks are never charged.  The charge is clamped to the
-        campaign's remaining daily budget.  The click updates the ad's ranking
-        weight, and a charge that spends the budget zeroes the weights of all
-        the campaign's ads until the next day.
+        campaign's remaining daily budget; a clamped click, charged 0 or
+        more, counts in ``clicks_clamped``.  The click updates the ad's
+        ranking weight, and a charge that spends the budget zeroes the
+        weights of all the campaign's ads until the next day.
 
         The click must land on an ad of a page that ``serve_page`` served
         this agent at most ``MAX_DWELL_MS`` earlier, and be recorded before
@@ -381,9 +389,13 @@ class Broker:
         self.quality[ad_id].clicks += 1
         self._reweigh(self._index[ad_id])
         campaign = self.campaigns[ad.advertiser_id]
-        charge = min(ad.bid_micros, campaign.remaining_micros())
-        if charge <= 0:
-            return 0
+        charge = ad.bid_micros
+        remaining = campaign.remaining_micros()
+        if remaining < charge:
+            self.clicks_clamped += 1
+            if remaining <= 0:
+                return 0
+            charge = remaining
         campaign.spent_today_micros += charge
         assert campaign.spent_today_micros <= campaign.daily_budget_micros
         if campaign.spent_today_micros == campaign.daily_budget_micros:

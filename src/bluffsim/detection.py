@@ -283,7 +283,14 @@ def scoring_settings(cfg: DetectorConfig) -> tuple:
 
 @dataclass
 class AgentEvidence:
-    """One agent's click tallies after a scan of the stream."""
+    """One agent's click tallies after a scan of the stream.
+
+    ``EvidenceScan`` makes one at an agent's first click, or in ``evidence``
+    for an agent that never clicked, and sets ``ip`` only in ``evidence``.
+    ``real_content_sum`` is None until the first real-ad click; it then sums
+    the content of every real ad the agent clicked, coordinate by
+    coordinate.
+    """
 
     ip: str = ""  # the agent's IP at its last event
     total_clicks: int = 0
@@ -306,13 +313,16 @@ class Evidence:
     ``agents`` is in order of each agent's first event; ``window_max`` holds
     each clicking IP's busiest-window count and ``blacklisted`` the IPs still
     on the blacklist at stream end.  ``settings`` records the
-    ``accumulation_settings`` the scan ran with.
+    ``accumulation_settings`` the scan ran with, and ``blacklist_adds`` how
+    many times the scan added an IP to its blacklist (once per click that
+    took its IP's window over the cap).
     """
 
     agents: dict
     window_max: dict
     blacklisted: frozenset
     settings: tuple
+    blacklist_adds: int = 0
 
 
 def _raise_on_violations(violations: list) -> None:
@@ -328,11 +338,19 @@ def _raise_on_violations(violations: list) -> None:
 class EvidenceScan:
     """Per-agent and per-IP evidence of one checked stream, fed in
     ``event_sort_key`` order in pieces; ``evidence`` returns what the events
-    fed so far show, as if the stream ended at the last of them.
+    fed so far show, as if the stream ended at the last of them.  Feeding
+    may go on after ``evidence``; read each ``Evidence`` before feeding more,
+    since it shares its tallies with the scan.
 
-    IPs whose sliding-window click count exceeds the cap are added to the
-    blacklist as the stream is scanned (the continually-updated list).
-    Region counts get one bin per region of ``reference``.
+    An impression only records its agent's IP.  A click adds to its IP's
+    sliding window: IPs whose window click count exceeds the cap are added
+    to the blacklist as the stream is scanned (the continually-updated
+    list).  A decoy click is classified with ``classify_decoy_click``; a
+    real-ad click never counts as a decoy click, and adds the ad's nonzero
+    content coordinates to the agent's ``real_content_sum``.  Skipping the
+    zeros is exact: each sum starts at +0.0 and so never becomes -0.0, and
+    adding a zero of either sign leaves any other float unchanged.  Region
+    counts get one bin per region of ``reference``.
     """
 
     def __init__(
@@ -347,10 +365,13 @@ class EvidenceScan:
         self._catalog = catalog
         self._ip_regions = ip_regions
         self._n_regions = len(reference.regions)
-        self._ledgers: dict[str, AgentEvidence] = {}
+        self._last_ip: dict[str, str] = {}  # agent_id -> IP, in first-event order
+        self._ledgers: dict[str, AgentEvidence] = {}  # agent_id -> evidence, made at the first click
+        self._nonzero: dict[str, list] = {}  # real ad_id -> [(coordinate, value)] of its nonzero content
         self._ip_windows: dict[str, deque] = {}
         self._ip_max: dict[str, int] = {}
         self._blacklist = Blacklist(cfg.blacklist_ttl_ms)
+        self._blacklist_adds = 0
         self._t_end = 0
 
     def feed(self, events) -> None:
@@ -362,19 +383,23 @@ class EvidenceScan:
         click_cap = cfg.click_cap
         min_clicks = cfg.min_clicks
         click = EventType.CLICK
+        real = AdKind.REAL
+        bluff_b = AdKind.BLUFF_B
+        last_ip = self._last_ip
         ledgers = self._ledgers
+        nonzero = self._nonzero
         ip_windows = self._ip_windows
         ip_max = self._ip_max
         blacklist = self._blacklist
         t = self._t_end
 
         for t, etype, agent_id, ip, _, ad_id, _, _ in events:
-            led = ledgers.get(agent_id)
-            if led is None:
-                led = ledgers[agent_id] = AgentEvidence(ip=ip, region_counts=[0] * n_regions)
-            led.ip = ip
+            last_ip[agent_id] = ip
             if etype is not click:
                 continue
+            led = ledgers.get(agent_id)
+            if led is None:
+                led = ledgers[agent_id] = AgentEvidence(region_counts=[0] * n_regions)
 
             win = ip_windows.get(ip)
             if win is None:
@@ -387,26 +412,32 @@ class EvidenceScan:
                 ip_max[ip] = count
             if count > click_cap:
                 blacklist.add(ip, t)
+                self._blacklist_adds += 1
 
             entry = catalog.get(ad_id)
             if entry is None:
                 raise ValueError(f"clicked ad_id {ad_id} not present in catalog")
             ad_kind, content = entry
-            # Only a BLUFF_B click past the evidence gate reads the observed
-            # profile; skip building it for every other click.
-            if ad_kind is AdKind.BLUFF_B and led.real_clicks >= min_clicks:
-                observed = led.observed_profile()
-            else:
-                observed = None
-            if classify_decoy_click(ad_kind, content, observed, led.real_clicks, cfg):
-                led.decoy_clicks += 1
-            led.total_clicks += 1
-            if ad_kind is AdKind.REAL:
-                if led.real_content_sum is None:
-                    led.real_content_sum = [0.0] * len(content)
-                for i, x in enumerate(content):
-                    led.real_content_sum[i] += x
+            if ad_kind is real:
+                pairs = nonzero.get(ad_id)
+                if pairs is None:
+                    pairs = nonzero[ad_id] = [(i, x) for i, x in enumerate(content) if x != 0.0]
+                sums = led.real_content_sum
+                if sums is None:
+                    sums = led.real_content_sum = [0.0] * len(content)
+                for i, x in pairs:
+                    sums[i] += x
                 led.real_clicks += 1
+            else:
+                # Only a BLUFF_B click past the evidence gate reads the
+                # observed profile; skip building it for every other click.
+                if ad_kind is bluff_b and led.real_clicks >= min_clicks:
+                    observed = led.observed_profile()
+                else:
+                    observed = None
+                if classify_decoy_click(ad_kind, content, observed, led.real_clicks, cfg):
+                    led.decoy_clicks += 1
+            led.total_clicks += 1
             led.hour_counts[(t // MS_PER_HOUR) % HOURS] += 1
             region = ip_regions.get(ip, 0) if ip_regions else 0
             if region >= n_regions:
@@ -415,8 +446,20 @@ class EvidenceScan:
         self._t_end = t
 
     def evidence(self) -> Evidence:
+        """The ``Evidence`` of the events fed so far.  Agents that have not
+        clicked get an empty ``AgentEvidence``; every agent's ``ip`` is set
+        to its IP at its last event."""
+        ledgers = self._ledgers
+        agents = {}
+        for agent_id, ip in self._last_ip.items():
+            led = ledgers.get(agent_id)
+            if led is None:
+                led = ledgers[agent_id] = AgentEvidence(region_counts=[0] * self._n_regions)
+            led.ip = ip
+            agents[agent_id] = led
         blacklisted = frozenset(ip for ip in self._ip_max if self._blacklist.check(ip, self._t_end))
-        return Evidence(self._ledgers, self._ip_max, blacklisted, accumulation_settings(self._cfg))
+        settings = accumulation_settings(self._cfg)
+        return Evidence(agents, self._ip_max, blacklisted, settings, self._blacklist_adds)
 
 
 class SubScores(NamedTuple):

@@ -440,7 +440,7 @@ def _event_batches(config, broker: Broker, agents: list):
     impression = EventType.IMPRESSION
     click = EventType.CLICK
     # Builds an Event from a tuple of its fields without the Python-level
-    # ``Event.__new__`` call: a run makes one per impression.
+    # ``Event.__new__`` call: a run makes one per impression and per click.
     new_event = tuple.__new__
 
     batch: list[Event] = []  # whole groups, in final order
@@ -467,7 +467,7 @@ def _event_batches(config, broker: Broker, agents: list):
             tc, _, i, page_id, ad_id, ad_kind, slot = heapq.heappop(pending)
             agent = agents[i]
             broker.record_click(ad_id, tc, agent.agent_id, page_id)
-            add(tc, [Event(tc, click, agent.agent_id, agent.ip, page_id, ad_id, ad_kind, slot)])
+            add(tc, [new_event(Event, (tc, click, agent.agent_id, agent.ip, page_id, ad_id, ad_kind, slot))])
 
     for view in page_views:
         t, i = divmod(view, n)

@@ -1,9 +1,10 @@
+import dataclasses
 import math
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bluffsim.broker import Broker, Campaign, ConfigError, InjectionConfig
+from bluffsim.broker import Broker, Campaign, ConfigError, InjectionConfig, LedgerEntry
 from bluffsim.domain import EPSILON_BLUFF, MAX_DWELL_MS, MS_PER_DAY, AdKind, AdUnit, basis_vector, relevance
 from bluffsim.rng import SplitMix64
 from bluffsim.traffic import TrafficMix, build_population
@@ -330,6 +331,25 @@ def test_budget_clamp_charges_remainder():
     assert charges == [40]
     assert broker.campaigns["a"].remaining_micros() == 0
     assert broker.rank_ads(profile, 4) == []
+
+
+def test_clamped_clicks_are_counted_down_to_a_zero_charge():
+    broker = make_broker([single_ad_campaign("a", 0, bid=100, budget=250)])
+    profile = basis_vector(D, 0)
+    # Four pages served before any click, so each click finds the ad on its page.
+    for page in range(4):
+        assert serve(broker, profile, 1, 0, page) == ["ad-a"]
+    charges = [broker.record_click("ad-a", 1, "u", page) for page in range(4)]
+    assert charges == [100, 100, 50, 0]
+    assert broker.clicks_clamped == 2
+    assert len(broker.ledger.entries) == 3
+
+
+def test_ledger_entry_fields_keep_their_names_and_order():
+    # Read by name and position outside the broker, e.g. by the benchmark's
+    # output checks and result digest.
+    assert [f.name for f in dataclasses.fields(LedgerEntry)] == ["t", "advertiser_id", "ad_id", "amount_micros", "agent_id"]
+    assert LedgerEntry.__slots__ == ("t", "advertiser_id", "ad_id", "amount_micros", "agent_id")
 
 
 def test_budget_depletion_trace():

@@ -1,3 +1,4 @@
+import dataclasses
 import inspect
 import math
 from fractions import Fraction
@@ -8,6 +9,7 @@ from scipy.spatial.distance import jensenshannon as scipy_js
 
 from bluffsim.detection import (
     ACCUMULATION_FIELDS,
+    AgentEvidence,
     Blacklist,
     DetectorConfig,
     EvidenceScan,
@@ -23,13 +25,16 @@ from bluffsim.detection import (
     threshold_score,
 )
 from bluffsim.domain import (
+    MAX_DWELL_MS,
     MS_PER_HOUR,
     AdKind,
     Event,
     EventType,
     basis_vector,
+    event_sort_key,
+    validate_event_stream,
 )
-from conftest import one_ip_max_window
+from conftest import ReferenceEvidenceScan, one_ip_max_window
 
 D = 16
 
@@ -493,3 +498,141 @@ def test_detector_cannot_see_agent_kinds():
         params = inspect.signature(fn).parameters
         assert "truth" not in params and "agents" not in params
     assert set(inspect.signature(run_detection).parameters) == {"events", "cfg", "catalog", "ip_regions", "reference"}
+
+
+# -- EvidenceScan against its reference ------------------------------------------
+
+
+def evidence_view(evidence):
+    """Everything an ``Evidence`` holds, in order, floats by ``float.hex``."""
+
+    def exact(value):
+        if isinstance(value, float):
+            return value.hex()
+        if isinstance(value, list):
+            return [exact(x) for x in value]
+        return value
+
+    agents = [
+        (agent_id, [(f.name, exact(getattr(led, f.name))) for f in dataclasses.fields(AgentEvidence)])
+        for agent_id, led in evidence.agents.items()
+    ]
+    return (
+        agents,
+        list(evidence.window_max.items()),
+        evidence.blacklisted,
+        evidence.settings,
+        evidence.blacklist_adds,
+    )
+
+
+def assert_scan_matches_reference(events, cfg, catalog, ip_regions, cuts, read_at):
+    """Feed ``events`` to an ``EvidenceScan`` and to the reference in the
+    chunks that ``cuts`` mark, comparing their evidence after each chunk
+    whose index is in ``read_at`` and at the end."""
+    ref = ReferenceProfile.from_config((1.0,) * 24, 2)
+    scan = EvidenceScan(cfg, catalog, ip_regions, ref)
+    reference = ReferenceEvidenceScan(cfg, catalog, ip_regions, ref)
+    bounds = [0, *sorted(cuts), len(events)]
+    for k, (lo, hi) in enumerate(zip(bounds, bounds[1:])):
+        scan.feed(events[lo:hi])
+        reference.feed(events[lo:hi])
+        if k in read_at:
+            assert evidence_view(scan.evidence()) == evidence_view(reference.evidence())
+    assert evidence_view(scan.evidence()) == evidence_view(reference.evidence())
+
+
+DIFF_DIM = 4
+DIFF_IPS = ("ip0", "ip1", "ip2")
+DIFF_REGIONS = {"ip0": 0, "ip1": 1}  # ip2 falls back to region 0
+
+
+def diff_catalog(contents):
+    """Three real ads, two profile-targeted and two untargeted decoys."""
+    kinds = (AdKind.REAL,) * 3 + (AdKind.BLUFF_A,) * 2 + (AdKind.BLUFF_B,) * 2
+    return {f"ad{j}": (kind, content) for j, (kind, content) in enumerate(zip(kinds, contents))}
+
+
+def diff_stream(pages):
+    """Events of ``pages``: (gap ms, agent, IP, ad, click delay or None),
+    one impression each and a click ``delay`` ms later, in stream order."""
+    events = []
+    t = 0
+    for page_id, (gap, agent, ip, ad, delay) in enumerate(pages):
+        t += gap
+        events.append(Event(t, EventType.IMPRESSION, agent, ip, page_id, ad, AdKind.REAL, 0))
+        if delay is not None:
+            events.append(Event(t + delay, EventType.CLICK, agent, ip, page_id, ad, AdKind.REAL, 0))
+    events.sort(key=event_sort_key)
+    assert validate_event_stream(events) == []
+    return events
+
+
+_COORD = st.one_of(st.sampled_from((0.0, -0.0, 0.1, 0.5)), st.floats(0.0, 1.0))
+_CONTENT = st.tuples(*[_COORD] * DIFF_DIM).filter(any)
+_PAGE = st.tuples(
+    st.one_of(st.integers(0, 20_000), st.integers(0, 3 * MS_PER_HOUR)),
+    st.sampled_from(("u0", "u1", "u2", "u3")),
+    st.sampled_from(DIFF_IPS),
+    st.sampled_from([f"ad{j}" for j in range(7)]),
+    st.one_of(st.none(), st.integers(1, MAX_DWELL_MS)),
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    contents=st.lists(_CONTENT, min_size=7, max_size=7),
+    pages=st.lists(_PAGE, max_size=60),
+    click_cap=st.integers(1, 4),
+    min_clicks=st.integers(1, 4),
+    mismatch_epsilon=st.sampled_from((0.0, 0.2, 0.9)),
+    data=st.data(),
+)
+def test_evidence_scan_matches_reference(contents, pages, click_cap, min_clicks, mismatch_epsilon, data):
+    events = diff_stream(pages)
+    cuts = data.draw(st.lists(st.integers(0, len(events)), max_size=4))
+    read_at = data.draw(st.sets(st.integers(0, len(cuts))))
+    cfg = DetectorConfig(window_ms=30_000, click_cap=click_cap, min_clicks=min_clicks, mismatch_epsilon=mismatch_epsilon)
+    assert_scan_matches_reference(events, cfg, diff_catalog(contents), DIFF_REGIONS, cuts, read_at)
+
+
+def test_evidence_scan_matches_reference_on_every_path():
+    # u0 only views; u1 moves from ip0 to ip1; u2 clicks a BLUFF_A decoy and
+    # BLUFF_B decoys before and past the two-click gate, on ad contents with
+    # zero and nonzero coordinates; ip2 goes over the cap and is blacklisted.
+    contents = [
+        (0.5, 0.0, 0.0, 0.5),
+        (0.0, -0.0, 0.25, 0.0),
+        (0.1, 0.2, 0.3, 0.4),
+        (0.0, 1.0, 0.0, 0.0),
+        (0.0, 0.0, 1.0, 0.0),
+        (1.0, 0.0, 0.0, 0.2),  # on u2's real-click topic: vouched past the gate
+        (0.0, 1.0, 0.0, 0.0),
+    ]
+    pages = [
+        (0, "u0", "ip0", "ad0", None),
+        (10, "u1", "ip0", "ad1", 5),
+        (10, "u2", "ip2", "ad5", 5),
+        (10, "u2", "ip2", "ad0", 5),
+        (10, "u2", "ip2", "ad3", 5),
+        (10, "u2", "ip2", "ad0", 5),
+        (10, "u2", "ip2", "ad5", 5),
+        (10, "u2", "ip2", "ad6", 5),
+        (10, "u1", "ip1", "ad2", 5),
+        (MS_PER_HOUR, "u0", "ip1", "ad4", None),
+        (10, "u1", "ip1", "ad1", 5),
+    ]
+    events = diff_stream(pages)
+    cfg = DetectorConfig(window_ms=30_000, click_cap=2, min_clicks=2)
+    catalog = diff_catalog(contents)
+    for cuts in ([], [1, 7], list(range(1, len(events)))):
+        assert_scan_matches_reference(events, cfg, catalog, DIFF_REGIONS, cuts, set(range(len(cuts) + 1)))
+    scan = EvidenceScan(cfg, catalog, DIFF_REGIONS, ReferenceProfile.from_config((1.0,) * 24, 2))
+    scan.feed(events)
+    evidence = scan.evidence()
+    assert list(evidence.agents) == ["u0", "u1", "u2"]
+    assert [led.ip for led in evidence.agents.values()] == ["ip1", "ip1", "ip2"]
+    u2 = evidence.agents["u2"]
+    # ad5 before the gate and ad6 past it count; ad5 past the gate is vouched for.
+    assert (u2.total_clicks, u2.real_clicks, u2.decoy_clicks) == (6, 2, 3)
+    assert evidence.blacklisted == {"ip2"} and evidence.blacklist_adds == 4

@@ -2,11 +2,12 @@
 every output byte identical.
 
 The digests are of 1-day runs at seed 0: default-attack, dictionary-attack
-(the heaviest targeted-decoy path) and default-attack with an uneven
-diurnal curve (every preset's is flat), and of a dictionary-attack
-``fusion_threshold`` sweep's sweep_summary.csv.  A change that is meant to alter
-outputs must update them and say why; any other change that trips these
-tests altered behaviour by accident.  The events writer is also
+(the heaviest targeted-decoy path), default-attack with an uneven diurnal
+curve (every preset's is flat) and a bot-heavy mix with shared bot IPs and
+a short budget, and of a dictionary-attack ``fusion_threshold`` sweep's
+sweep_summary.csv.  A change that is meant to alter outputs must update
+them and say why; any other change that trips these tests altered
+behaviour by accident.  The events writer is also
 checked line by line against ``json.dumps`` on ids no preset produces.
 """
 
@@ -19,9 +20,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bluffsim.config import load_config
+from bluffsim.detection import EvidenceScan, ReferenceProfile
 from bluffsim.domain import AdKind, Event, EventType
 from bluffsim.pipeline import run, run_scenario, sweep, write_outputs
-from conftest import small_config
+from conftest import ReferenceEvidenceScan, small_config
 
 GOLDEN_SHA256 = {
     "events.jsonl": "004dee085659f3c31aee41bf3a31977e1c6d0ba5ec0576f27fb1fc9fc48ec05f",
@@ -76,6 +78,80 @@ def test_one_day_runs_match_golden_digests(tmp_path, case):
     if case.endswith("-uneven-diurnal"):
         cfg.diurnal = UNEVEN_DIURNAL
     assert run_digests(cfg, tmp_path) == MORE_GOLDEN_SHA256[case]
+
+
+def bot_heavy_config():
+    """One day at seed 0 on the bench's click-flood mix: 100 benign users and
+    240 random bots, eight to an IP, clicking at 0.5.  niche00's daily budget
+    is cut to 1,000,000 micros, so its clicks are clamped early in the day."""
+    cfg = load_config("default-attack")
+    cfg.seed = 0
+    cfg.horizon_days = 1
+    cfg.mix.n_benign = 100
+    cfg.mix.n_random_bot = 240
+    cfg.mix.n_trained_bot = 0
+    cfg.mix.ip_sharing_factor = 8
+    cfg.behavior.bot_click_rate = 0.5
+    (niche00,) = [c for c in cfg.campaigns if c.advertiser_id == "niche00"]
+    niche00.daily_budget_micros = 1_000_000
+    return cfg
+
+
+BOT_HEAVY_SHA256 = {
+    "events.jsonl": "18852a49e8cb662c32698f20a170f20fa8f9d4a17b61069d7503fb44c1144fce",
+    "truth.csv": "5c4ed9469313cbb4ba9d2b4ab2910425b731b6654cdfa4aafc0d701145dec233",
+    "verdicts.csv": "bea14b76810b874e70f81414abc005baceaeba198f7374eafc94411bf84164c6",
+    "summary.csv": "8e90eb69e28a695bcdb7bce907ee0a9b6fa171b80b831b994f5e48e87a2993fd",
+    "config.yaml": "b9a7ff07b07ec73f999d32f619f3634f2b43950a957317293af0b27d6a6d841e",
+}
+
+
+@functools.cache
+def _bot_heavy_result():
+    return run_scenario(bot_heavy_config())
+
+
+def test_one_day_bot_heavy_outputs_match_golden_digests(tmp_path):
+    assert run_digests(bot_heavy_config(), tmp_path) == BOT_HEAVY_SHA256
+
+
+def test_bot_heavy_case_reaches_blacklist_clamp_and_vouching_paths():
+    result = _bot_heavy_result()
+    assert any(r.blacklisted for r in result.reports.values())
+    bids = {ad_id: ad.bid_micros for ad_id, ad in result.broker.ads.items() if ad.kind is AdKind.REAL}
+    assert any(e.amount_micros < bids[e.ad_id] for e in result.broker.ledger.entries)
+    min_clicks = result.config.detector.min_clicks
+    real_clicks: dict = {}
+    past_gate = 0
+    for e in result.events:
+        if e.etype is EventType.CLICK:
+            if e.ad_kind is AdKind.REAL:
+                real_clicks[e.agent_id] = real_clicks.get(e.agent_id, 0) + 1
+            elif e.ad_kind is AdKind.BLUFF_B and real_clicks.get(e.agent_id, 0) >= min_clicks:
+                past_gate += 1
+    assert past_gate > 0
+
+
+def test_bot_heavy_counters_match_recounts():
+    """``Broker.clicks_clamped`` and ``Evidence.blacklist_adds``, recounted
+    from the run's events and ledger and by the reference scan."""
+    result = _bot_heavy_result()
+    broker = result.broker
+    bids = {ad_id: ad.bid_micros for ad_id, ad in broker.ads.items() if ad.kind is AdKind.REAL}
+    entries = broker.ledger.entries
+    real_clicks = sum(1 for e in result.events if e.etype is EventType.CLICK and e.ad_kind is AdKind.REAL)
+    below_bid = sum(1 for e in entries if e.amount_micros < bids[e.ad_id])
+    assert broker.clicks_clamped == real_clicks - len(entries) + below_bid > 0
+
+    # The mix has one region, so no IP -> region map is needed.
+    cfg = result.config
+    reference_profile = ReferenceProfile.from_config(cfg.diurnal, cfg.mix.region_count)
+    args = (cfg.detector, broker.catalog(), None, reference_profile)
+    scan = EvidenceScan(*args)
+    reference = ReferenceEvidenceScan(*args)
+    scan.feed(result.events)
+    reference.feed(result.events)
+    assert scan.evidence().blacklist_adds == reference.blacklist_adds > 0
 
 
 SWEEP_GOLDEN_SHA256 = "bac220f5bfe8351507370341d357466000232d542440fca2f71d8dc4b9eb2a99"
