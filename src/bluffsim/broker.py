@@ -63,9 +63,6 @@ class Campaign:
     daily_budget_micros: int
     spent_today_micros: int = 0
 
-    def remaining_micros(self) -> int:
-        return self.daily_budget_micros - self.spent_today_micros
-
 
 @dataclass(slots=True)
 class LedgerEntry:
@@ -85,13 +82,12 @@ class LedgerEntry:
 
 class BillingLedger:
     """Append-only sequence of per-click charges (real ads only).  Only
-    ``Broker.record_click`` appends, and no entry is changed once made."""
+    ``Broker.record_click`` appends, straight to ``entries`` after it has
+    charged the campaign and written the ad's ranking weight, and no entry
+    is changed once made."""
 
     def __init__(self):
         self.entries: list[LedgerEntry] = []
-
-    def append(self, entry: LedgerEntry) -> None:
-        self.entries.append(entry)
 
 
 class Broker:
@@ -101,10 +97,12 @@ class Broker:
     metric computation take place after the run.
 
     Once the broker is built, its quality counters and campaign budgets are
-    written only by the broker itself (``serve_page``, ``record_click`` and
-    the day rollover): each write also updates the per-ad ranking weight
-    that ``rank_ads`` reads, so a counter or budget changed from outside
-    would not reach the ranking.
+    written only by the broker itself, and each write also updates the
+    per-ad ranking weight that ``rank_ads`` reads, so a counter or budget
+    changed from outside would not reach the ranking.  ``serve_page`` and
+    ``record_click`` write the weight of the ad whose counter they bump
+    in place, next to the bump; ``_reweigh`` writes it at construction, at
+    the day rollover and when a charge spends a campaign's budget.
     """
 
     def __init__(
@@ -123,7 +121,9 @@ class Broker:
         self.ledger = BillingLedger()
         self.rel = RelevanceCache()
         self.overhead_micros = 0  # score value of real ads displaced by decoys
+        self.pages_served = 0  # serve_page calls, empty slates included
         self.decoy_impressions = 0  # slots served with a decoy; real ones count in ``quality``
+        self.bluff_b_impressions = 0  # the untargeted (BLUFF_B) part of decoy_impressions
         self.clicks_clamped = 0  # real-ad clicks charged below the bid (0 included) by the budget
         # Open pages, (agent_id, page_id) -> (t, slate), in two generations:
         # those served since ``_rotated_at`` and those of the generation
@@ -248,18 +248,19 @@ class Broker:
 
     def _reweigh(self, j: int) -> None:
         """Recompute the ranking weight of inventory entry ``j``: bid x quality
-        while its campaign has budget left today, else 0.0."""
+        while its campaign has budget left today, else 0.0.  ``serve_page``
+        and ``record_click`` write the same float inline."""
         c, ad, qs = self._inventory[j]
         self._weights[j] = ad.bid_micros * qs.q if c.spent_today_micros < c.daily_budget_micros else 0.0
 
-    def _advance_day(self, t: int) -> None:
-        day = t // MS_PER_DAY
-        if day != self._day:
-            for c in self.campaigns.values():
-                c.spent_today_micros = 0
-            for j in range(len(self._inventory)):
-                self._reweigh(j)
-            self._day = day
+    def _advance_day(self, day: int) -> None:
+        """Start ``day``, which differs from the current one: every budget is
+        back, and so is every weight."""
+        for c in self.campaigns.values():
+            c.spent_today_micros = 0
+        for j in range(len(self._inventory)):
+            self._reweigh(j)
+        self._day = day
 
     def score(self, profile: TopicVector, ad: AdUnit) -> float:
         return ad.bid_micros * self.quality[ad.ad_id].q * self.rel.get(profile, ad.targeting)
@@ -320,8 +321,12 @@ class Broker:
         probability type_b_share, else one built for this profile).
         Replaced real ads receive no impression, and add the score they were
         ranked with, read from ``rank_ads``'s buffer, to ``overhead_micros``.
-        Every served slot is metered: a decoy in ``decoy_impressions``, a real
-        ad in its ``quality`` entry, which also updates its ranking weight.
+        Every served slot is metered: a decoy in ``decoy_impressions`` (and
+        an untargeted one in ``bluff_b_impressions``), a real ad in its
+        ``quality`` entry.  A real ad's impression is bumped and its ranking
+        weight rewritten here, in place, as the float ``_reweigh`` makes; the
+        budget test is not needed, since an ad whose campaign has spent its
+        budget weighs 0.0 and a zero score is never served.
 
         The page stays open for clicks until ``MAX_DWELL_MS`` after ``t``.
         Pages are kept in two generations; when more than ``MAX_DWELL_MS``
@@ -335,25 +340,31 @@ class Broker:
             self._pages_prev = self._pages
             self._pages = {}
             self._rotated_at = t
-        self._advance_day(t)
+        if t // MS_PER_DAY != self._day:
+            self._advance_day(t // MS_PER_DAY)
         slate = self.rank_ads(profile, slots)
+        self.pages_served += 1
         rho = self.injection.rho
         type_b_share = self.injection.type_b_share
-        quality = self.quality
         index = self._index
+        inventory = self._inventory
+        weights = self._weights
         for i, ad in enumerate(slate):
+            j = index[ad.ad_id]
             if rho > 0.0 and rng.random() < rho:
                 # A displaced ad gets no impression, so its weight, and the
                 # score it was ranked with, still hold.
-                self.overhead_micros += int(round(self._scores[index[ad.ad_id]]))
+                self.overhead_micros += int(round(self._scores[j]))
                 self.decoy_impressions += 1
                 if rng.random() < type_b_share:
+                    self.bluff_b_impressions += 1
                     slate[i] = self.make_bluff_b(rng)
                 else:
                     slate[i] = self.make_bluff_a(profile, rng)
             else:
-                quality[ad.ad_id].impressions += 1
-                self._reweigh(index[ad.ad_id])
+                qs = inventory[j][2]
+                qs.impressions += 1
+                weights[j] = ad.bid_micros * ((qs.clicks + 1) / (qs.impressions + 2))
         self._pages[(agent_id, page_id)] = (t, tuple(slate))
         return slate
 
@@ -364,16 +375,20 @@ class Broker:
 
         Decoy clicks are never charged.  The charge is clamped to the
         campaign's remaining daily budget; a clamped click, charged 0 or
-        more, counts in ``clicks_clamped``.  The click updates the ad's
-        ranking weight, and a charge that spends the budget zeroes the
-        weights of all the campaign's ads until the next day.
+        more, counts in ``clicks_clamped``.  The click bumps the ad's
+        ``clicks`` and rewrites its ranking weight in place, as the float
+        ``_reweigh`` makes from the spend before this charge; a charge that
+        spends the budget then zeroes the weights of all the campaign's ads
+        through ``_reweigh`` until the next day.  The charge is appended to
+        the ledger last.
 
         The click must land on an ad of a page that ``serve_page`` served
         this agent at most ``MAX_DWELL_MS`` earlier, and be recorded before
         any page served later than ``t`` (see ``serve_page``); otherwise it
         is refused with ``ValueError``.
         """
-        self._advance_day(t)
+        if t // MS_PER_DAY != self._day:
+            self._advance_day(t // MS_PER_DAY)
         key = (agent_id, page_id)
         page = self._pages.get(key) or self._pages_prev.get(key)
         slate = page[1] if page is not None and t - page[0] <= MAX_DWELL_MS else ()
@@ -386,22 +401,26 @@ class Broker:
             )
         if ad.kind is not AdKind.REAL:
             return 0
-        self.quality[ad_id].clicks += 1
-        self._reweigh(self._index[ad_id])
-        campaign = self.campaigns[ad.advertiser_id]
+        j = self._index[ad_id]
+        campaign, _, qs = self._inventory[j]
+        qs.clicks += 1
         charge = ad.bid_micros
-        remaining = campaign.remaining_micros()
+        spent = campaign.spent_today_micros
+        budget = campaign.daily_budget_micros
+        self._weights[j] = ad.bid_micros * ((qs.clicks + 1) / (qs.impressions + 2)) if spent < budget else 0.0
+        remaining = budget - spent
         if remaining < charge:
             self.clicks_clamped += 1
             if remaining <= 0:
                 return 0
             charge = remaining
-        campaign.spent_today_micros += charge
-        assert campaign.spent_today_micros <= campaign.daily_budget_micros
-        if campaign.spent_today_micros == campaign.daily_budget_micros:
+        spent += charge
+        campaign.spent_today_micros = spent
+        assert spent <= budget
+        if spent == budget:
             for spent_ad in campaign.ads:
                 self._reweigh(self._index[spent_ad.ad_id])
-        self.ledger.append(LedgerEntry(t, campaign.advertiser_id, ad_id, charge, agent_id))
+        self.ledger.entries.append(LedgerEntry(t, campaign.advertiser_id, ad_id, charge, agent_id))
         return charge
 
     # -- views for downstream consumers --------------------------------------

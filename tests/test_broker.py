@@ -28,6 +28,11 @@ def single_ad_campaign(advertiser, topic, bid, budget=10**9):
     return Campaign(advertiser_id=advertiser, ads=[ad], daily_budget_micros=budget)
 
 
+def remaining_micros(campaign):
+    """What the campaign may still be charged today."""
+    return campaign.daily_budget_micros - campaign.spent_today_micros
+
+
 # -- ranking ---------------------------------------------------------------------
 
 
@@ -329,7 +334,7 @@ def test_budget_clamp_charges_remainder():
     profile = basis_vector(D, 0)
     _, charges = serve_and_click(broker, profile, 0, "u", 0)
     assert charges == [40]
-    assert broker.campaigns["a"].remaining_micros() == 0
+    assert remaining_micros(broker.campaigns["a"]) == 0
     assert broker.rank_ads(profile, 4) == []
 
 
@@ -449,7 +454,7 @@ def reference_rank(broker, profile, slots):
     """Brute force over every campaign and ad with ``Broker.score``."""
     scored = []
     for c in broker.campaigns.values():
-        if c.remaining_micros() <= 0:
+        if remaining_micros(c) <= 0:
             continue
         for ad in c.ads:
             s = broker.score(profile, ad)
@@ -491,7 +496,7 @@ def inventories(draw):
 
 def expected_weight(broker, ad):
     """bid x quality from the live counters while the campaign has budget."""
-    if broker.campaigns[ad.advertiser_id].remaining_micros() <= 0:
+    if remaining_micros(broker.campaigns[ad.advertiser_id]) <= 0:
         return 0.0
     return ad.bid_micros * broker.quality[ad.ad_id].q
 
@@ -509,11 +514,18 @@ def test_rank_ads_matches_brute_force_reference(campaigns, rho, ops):
     # Quality counters and budgets reach their states only through the
     # broker's writers: served impressions, clicks on served slots (which
     # can spend a budget mid-day) and the day rollover.  After every one,
-    # each cached row and weight must still give the brute-force ranking.
+    # each cached row and weight must still give the brute-force ranking,
+    # and each counter must equal its recount from the slates served and
+    # the clicks recorded, charged against a budget kept here.
     broker = make_broker(campaigns, rho=rho)
     t = 0
     page = 0
     served = []  # (page, slate) of today's pages, all within the dwell time
+    impressions = {ad.ad_id: 0 for c in campaigns for ad in c.ads}
+    clicks = dict(impressions)
+    spent = {c.advertiser_id: 0 for c in campaigns}
+    clamped = 0
+    decoys = {kind: 0 for kind in AdKind}
     for op in ops:
         kind = op[0]
         t += 1
@@ -521,25 +533,48 @@ def test_rank_ads_matches_brute_force_reference(campaigns, rho, ops):
             if served:
                 page_id, slate = served[op[1] % len(served)]
                 ad = slate[op[2] % len(slate)]
-                broker.record_click(ad.ad_id, t, "u", page_id)
+                charge = broker.record_click(ad.ad_id, t, "u", page_id)
+                if ad.kind is AdKind.REAL:
+                    clicks[ad.ad_id] += 1
+                    budget = broker.campaigns[ad.advertiser_id].daily_budget_micros
+                    expected_charge = min(ad.bid_micros, max(0, budget - spent[ad.advertiser_id]))
+                    spent[ad.advertiser_id] += expected_charge
+                    clamped += expected_charge < ad.bid_micros
+                else:
+                    expected_charge = 0
+                assert charge == expected_charge
         else:
             _, profile, slots = op
             if kind == "next_day":
                 # serve_page resets every budget at the day boundary.
                 t = (t // MS_PER_DAY + 1) * MS_PER_DAY
                 served = []
+                spent = dict.fromkeys(spent, 0)
             page += 1
             slate = broker.serve_page(profile, slots, SplitMix64.for_stream(page, 2), t, "u", page)
             if kind == "next_day":
                 assert all(c.spent_today_micros == 0 for c in campaigns)
             if slate:
                 served.append((page, slate))
+            for ad in slate:
+                if ad.kind is AdKind.REAL:
+                    impressions[ad.ad_id] += 1
+                else:
+                    decoys[ad.kind] += 1
             expected = reference_rank(broker, profile, slots)
             assert broker.rank_ads(profile, slots) == expected
         for profile in VECTORS:
             assert broker.rank_ads(profile, 16) == reference_rank(broker, profile, 16)
         for (_, ad, _), weight in zip(broker._inventory, broker._weights):
             assert weight == expected_weight(broker, ad)
+        assert {ad_id: qs.impressions for ad_id, qs in broker.quality.items()} == impressions
+        assert {ad_id: qs.clicks for ad_id, qs in broker.quality.items()} == clicks
+        assert {c.advertiser_id: c.spent_today_micros for c in campaigns} == spent
+        assert broker.clicks_clamped == clamped
+        # Every page counts, those with an empty slate too.
+        assert broker.pages_served == page
+        assert broker.decoy_impressions == decoys[AdKind.BLUFF_A] + decoys[AdKind.BLUFF_B]
+        assert broker.bluff_b_impressions == decoys[AdKind.BLUFF_B]
 
 
 @pytest.mark.parametrize("rho", [1.0, 0.5])

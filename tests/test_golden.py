@@ -8,20 +8,26 @@ a short budget, and of a dictionary-attack ``fusion_threshold`` sweep's
 sweep_summary.csv.  A change that is meant to alter outputs must update
 them and say why; any other change that trips these tests altered
 behaviour by accident.  The events writer is also
-checked line by line against ``json.dumps`` on ids no preset produces.
+checked line by line against ``json.dumps`` on ids no preset produces, and
+the default-attack traffic files against their digests with every
+``math.log`` result in ``bluffsim.rng`` moved by a few ulps.
 """
 
 import dataclasses
 import functools
 import hashlib
 import json
+import math
+import types
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import bluffsim.rng
+from bluffsim import traffic
 from bluffsim.config import load_config
 from bluffsim.detection import EvidenceScan, ReferenceProfile
-from bluffsim.domain import AdKind, Event, EventType
+from bluffsim.domain import MS_PER_DAY, AdKind, Event, EventType
 from bluffsim.pipeline import run, run_scenario, sweep, write_outputs
 from conftest import ReferenceEvidenceScan, small_config
 
@@ -46,6 +52,37 @@ def test_one_day_default_attack_outputs_match_golden_digests(tmp_path):
     cfg.seed = 0
     cfg.horizon_days = 1
     assert run_digests(cfg, tmp_path) == GOLDEN_SHA256
+
+
+def moved_ulps(x: float, ulps: int) -> float:
+    """``x`` moved by ``abs(ulps)`` ulps, up for a positive ``ulps`` and down
+    for a negative one."""
+    toward = math.inf if ulps > 0 else -math.inf
+    for _ in range(abs(ulps)):
+        x = math.nextafter(x, toward)
+    return x
+
+
+@pytest.mark.parametrize("ulps", [1, -1, 8, -8, 64, -64])
+def test_traffic_outputs_hold_when_rng_log_moves_by_ulps(tmp_path, monkeypatch, ulps):
+    """Traffic does not hang on the host libm's last digits: with every
+    ``math.log`` result in ``bluffsim.rng`` moved by 2^k ulps, the page gaps
+    and Poisson counts it draws, and so events.jsonl and truth.csv, keep
+    their golden digests."""
+    calls = []
+
+    def log(x):
+        calls.append(x)
+        return moved_ulps(math.log(x), ulps)
+
+    monkeypatch.setattr(bluffsim.rng, "math", types.SimpleNamespace(log=log))
+    cfg = load_config("default-attack")
+    cfg.seed = 0
+    cfg.horizon_days = 1
+    digests = run_digests(cfg, tmp_path)
+    assert len(calls) > 1000
+    for name in ("events.jsonl", "truth.csv"):
+        assert digests[name] == GOLDEN_SHA256[name]
 
 
 # Overnight trough with empty first and last hours, a morning and an evening peak.
@@ -133,8 +170,9 @@ def test_bot_heavy_case_reaches_blacklist_clamp_and_vouching_paths():
 
 
 def test_bot_heavy_counters_match_recounts():
-    """``Broker.clicks_clamped`` and ``Evidence.blacklist_adds``, recounted
-    from the run's events and ledger and by the reference scan."""
+    """``Broker.clicks_clamped``, the decoy counts and ``Evidence.blacklist_adds``,
+    recounted from the run's events and ledger and by the reference scan, and
+    ``Broker.pages_served``, recounted from the page views ``_sessions`` plans."""
     result = _bot_heavy_result()
     broker = result.broker
     bids = {ad_id: ad.bid_micros for ad_id, ad in broker.ads.items() if ad.kind is AdKind.REAL}
@@ -143,8 +181,20 @@ def test_bot_heavy_counters_match_recounts():
     below_bid = sum(1 for e in entries if e.amount_micros < bids[e.ad_id])
     assert broker.clicks_clamped == real_clicks - len(entries) + below_bid > 0
 
-    # The mix has one region, so no IP -> region map is needed.
+    impressions = [e for e in result.events if e.etype is EventType.IMPRESSION]
+    assert broker.decoy_impressions == sum(1 for e in impressions if e.ad_kind is not AdKind.REAL) > 0
+    assert broker.bluff_b_impressions == sum(1 for e in impressions if e.ad_kind is AdKind.BLUFF_B) > 0
+    assert broker.bluff_b_impressions < broker.decoy_impressions
+
     cfg = result.config
+    targeting = {c.advertiser_id: c.targeting for c in cfg.campaigns}
+    agents, _ = traffic.build_population(cfg.mix, cfg.topic_dim, cfg.seed, targeting)
+    sessions = traffic._sessions(agents, cfg.behavior, cfg.horizon_days * MS_PER_DAY, cfg.diurnal, cfg.seed)
+    planned = sum(len(arrivals) for _, arrivals in sessions)
+    # Every planned view is served, including those with an empty slate.
+    assert broker.pages_served == planned >= len({(e.agent_id, e.page_id) for e in impressions}) > 0
+
+    # The mix has one region, so no IP -> region map is needed.
     reference_profile = ReferenceProfile.from_config(cfg.diurnal, cfg.mix.region_count)
     args = (cfg.detector, broker.catalog(), None, reference_profile)
     scan = EvidenceScan(*args)
