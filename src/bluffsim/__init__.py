@@ -40,7 +40,6 @@ from .metrics import (
     f1,
     precision,
     recall,
-    roc_points,
 )
 from .pipeline import RunResult, RunOutputs, run, run_scenario, sweep
 from .rng import SplitMix64

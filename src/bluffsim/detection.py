@@ -12,7 +12,7 @@ from __future__ import annotations
 import math
 from collections import deque
 from collections.abc import Sequence
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field
 from typing import NamedTuple, Optional
 
 from .broker import ConfigError
@@ -60,15 +60,21 @@ class DetectorConfig:
             raise ConfigError("detector.pvalue_threshold must be in (0, 1)")
         if self.min_clicks < 1:
             raise ConfigError("detector.min_clicks must be >= 1")
-        if self.window_ms <= 0 or self.click_cap < 1 or self.blacklist_ttl_ms <= 0:
-            raise ConfigError("detector: window_ms, click_cap, blacklist_ttl_ms must be positive")
+        if self.window_ms <= 0:
+            raise ConfigError(f"detector.window_ms must be positive, got {self.window_ms}")
+        if self.click_cap < 1:
+            raise ConfigError(f"detector.click_cap must be >= 1, got {self.click_cap}")
+        if self.blacklist_ttl_ms <= 0:
+            raise ConfigError(f"detector.blacklist_ttl_ms must be positive, got {self.blacklist_ttl_ms}")
         if self.divergence_threshold <= 0:
             raise ConfigError("detector.divergence_threshold must be positive")
         if not 0.0 <= self.mismatch_epsilon <= 1.0:
             raise ConfigError("detector.mismatch_epsilon must be in [0, 1]")
         w = (self.w_bluff, self.w_thresh, self.w_profile)
         if any(x < 0 for x in w) or abs(sum(w) - 1.0) > 1e-9:
-            raise ConfigError("detector: fusion weights must be non-negative and sum to 1")
+            raise ConfigError(
+                f"detector.fusion_weights (w_bluff, w_thresh, w_profile) must be non-negative and sum to 1, got {w}"
+            )
         if not 0.0 <= self.fusion_threshold <= 1.0:
             raise ConfigError("detector.fusion_threshold must be in [0, 1]")
 
@@ -262,23 +268,11 @@ class SuspicionReport:
 # two of them again: ``min_clicks`` gates the decoy and profile scores, and
 # ``click_cap`` scales the window threshold score.
 ACCUMULATION_FIELDS = ("window_ms", "click_cap", "blacklist_ttl_ms", "min_clicks", "mismatch_epsilon")
-# The detector fields the fuse step reads, and no sub-score does.
-FUSION_FIELDS = ("w_bluff", "w_thresh", "w_profile", "fusion_threshold")
-# Every other field may shape an agent's sub-scores.  Taken from the config's
-# own fields, so a field added later keys the sub-scores unless it is named in
-# ``FUSION_FIELDS``, and sub-scores are never shared across its values.
-SCORING_FIELDS = tuple(f.name for f in fields(DetectorConfig) if f.name not in FUSION_FIELDS)
 
 
 def accumulation_settings(cfg: DetectorConfig) -> tuple:
     """The values of ``ACCUMULATION_FIELDS`` in ``cfg``, in that order."""
     return tuple(getattr(cfg, name) for name in ACCUMULATION_FIELDS)
-
-
-def scoring_settings(cfg: DetectorConfig) -> tuple:
-    """The values of ``SCORING_FIELDS`` in ``cfg``, in that order: configs
-    that agree on them give every agent the same sub-scores."""
-    return tuple(getattr(cfg, name) for name in SCORING_FIELDS)
 
 
 @dataclass
@@ -480,9 +474,10 @@ def sub_scores(evidence: Evidence, cfg: DetectorConfig, reference: ReferenceProf
     """Score every agent of ``evidence`` with the decoy test, the window
     threshold and the profile divergence; agent_id -> ``SubScores``.
 
-    Reads every detector field but ``FUSION_FIELDS``.  Raises ``ValueError``
-    when ``cfg``'s accumulation settings differ from those the evidence was
-    built with, since the scan would have come out differently.
+    Reads every detector field but the fusion weights and
+    ``fusion_threshold``.  Raises ``ValueError`` when ``cfg``'s accumulation
+    settings differ from those the evidence was built with, since the scan
+    would have come out differently.
     """
     cfg.validate()
     settings = accumulation_settings(cfg)
@@ -510,8 +505,9 @@ def sub_scores(evidence: Evidence, cfg: DetectorConfig, reference: ReferenceProf
 def fuse_scores(scores: dict, cfg: DetectorConfig) -> dict:
     """Fuse each agent's ``SubScores`` into a verdict with the fusion weights
     and threshold of ``cfg``; agent_id -> ``SuspicionReport``.  Reads only
-    ``FUSION_FIELDS``.  Agents on a still-active blacklist entry at stream
-    end are flagged regardless of their fused score."""
+    ``w_bluff``, ``w_thresh``, ``w_profile`` and ``fusion_threshold``.
+    Agents on a still-active blacklist entry at stream end are flagged
+    regardless of their fused score."""
     reports: dict[str, SuspicionReport] = {}
     for agent_id, (s_b, s_t, s_p, p_value, c, div, blacklisted, total, decoys) in scores.items():
         fused, flagged = fuse(s_b, s_t, s_p, cfg, blacklisted=blacklisted)

@@ -27,9 +27,6 @@ class Confusion:
     tn: int = 0
     fn: int = 0
 
-    def total(self) -> int:
-        return self.tp + self.fp + self.tn + self.fn
-
 
 def confusion(reports: dict, truth: dict) -> Confusion:
     """Agent-level confusion counts; positive = truly fraudulent."""
@@ -149,17 +146,6 @@ def threshold_curve(scored: Iterable, truth: dict, weight: Optional[dict] = None
         column.reverse()
     auc = numer / (2 * n_neg * n_pos) if n_pos and n_neg else None
     return ThresholdCurve(scores, tps, fps, weights, n_pos, n_neg, auc)
-
-
-def roc_points(reports: dict, truth: dict) -> tuple:
-    """ROC sweep over the fused scores of ``reports``, highest first, plus
-    the AUC, both read off ``threshold_curve`` with the blacklist left out.
-    Requires both classes present."""
-    curve = threshold_curve(((agent_id, r.fused, False) for agent_id, r in reports.items()), truth)
-    if curve.auc is None:
-        raise ValueError("ROC requires at least one positive and one negative agent")
-    points = [(fp / curve.n_neg, tp / curve.n_pos) for tp, fp in zip(reversed(curve.tp), reversed(curve.fp))]
-    return points, curve.auc
 
 
 @dataclass

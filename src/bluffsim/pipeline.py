@@ -26,7 +26,6 @@ from .detection import (
     fuse,
     fuse_scores,
     run_detection,
-    scoring_settings,
     sub_scores,
 )
 from .domain import AdKind, AdUnit, StreamCheck
@@ -280,14 +279,15 @@ def _pass(configs: list, sink):
     and handed to ``sink``, then dropped: no events list is built.  The
     broker counts the impressions it serves, so nothing here counts them.
 
-    After the pass the broker's ledger is walked once (``economics``), the
-    agents get their sub-scores once per distinct ``scoring_settings``, and
-    their fused scores are sorted into a ``threshold_curve`` once per
-    distinct setting of every detector field but ``fusion_threshold``, the
-    one field the fused scores do not read.  Each config then reads its
-    confusion counts, flagged fraud spend and AUC off its curve; its
-    verdicts are fused only if its result's ``reports`` are read.  Results
-    are yielded one at a time.
+    After the pass the broker's ledger is walked once (``economics``), and
+    once per distinct setting of every detector field but
+    ``fusion_threshold``, the one field the fused scores do not read, the
+    agents are scored (``sub_scores``) and their fused scores sorted into a
+    ``threshold_curve``.  A sweep moves one field and ``validate`` holds the
+    fusion weights to a sum of 1, so no two configs differ in a weight
+    alone.  Each config then reads its confusion counts, flagged fraud spend
+    and AUC off its curve; its verdicts are fused only if its result's
+    ``reports`` are read.  Results are yielded one at a time.
     """
     config = configs[0]
     broker = build_broker(config)
@@ -306,21 +306,19 @@ def _pass(configs: list, sink):
         sink(batch)
     evidence = {key: scan.evidence() for key, scan in scans.items()}
     metered = economics(broker, truth)
-    scores, curves = {}, {}
+    scored = {}  # detector but its threshold -> (sub-scores, threshold curve)
     for cfg in configs:
         detector = cfg.detector
-        key = scoring_settings(detector)
-        if key not in scores:
-            scores[key] = sub_scores(evidence[accumulation_settings(detector)], detector, reference)
-        curve_key = astuple(replace(detector, fusion_threshold=0.0))
-        if curve_key not in curves:
-            scored = (
+        key = astuple(replace(detector, fusion_threshold=0.0))
+        if key not in scored:
+            scores = sub_scores(evidence[accumulation_settings(detector)], detector, reference)
+            fused = (
                 (agent_id, fuse(s.s_bluff, s.s_thresh, s.s_profile, detector)[0], s.blacklisted)
-                for agent_id, s in scores[key].items()
+                for agent_id, s in scores.items()
             )
-            curves[curve_key] = threshold_curve(scored, truth, metered.fraud_spend_by_agent)
-        build_reports = partial(fuse_scores, scores[key], detector)
-        yield _result(cfg, None, truth, build_reports, curves[curve_key], metered, broker)
+            scored[key] = scores, threshold_curve(fused, truth, metered.fraud_spend_by_agent)
+        scores, curve = scored[key]
+        yield _result(cfg, None, truth, partial(fuse_scores, scores, detector), curve, metered, broker)
 
 
 def run(config: ScenarioConfig, out_dir) -> RunOutputs:

@@ -15,7 +15,7 @@ import pytest
 from bluffsim.config import load_config
 from bluffsim.detection import binom_tail_pvalue
 from bluffsim.domain import AdKind, AgentKind, EventType
-from bluffsim.metrics import precision, recall, roc_points
+from bluffsim.metrics import precision, recall, threshold_curve
 from bluffsim.pipeline import run, run_scenario
 from bluffsim.rng import SplitMix64
 from conftest import mean_slate_rank, one_ip_max_window, per_advertiser_day
@@ -107,7 +107,7 @@ def test_criterion_3_auc_oracle():
             else:
                 truth[aid] = AgentKind.BENIGN
                 scores_neg.append(score)
-        _, auc = roc_points(reports, truth)
+        auc = threshold_curve(((a, r.fused, False) for a, r in reports.items()), truth).auc
         num = 0
         for sp in scores_pos:
             for sn in scores_neg:

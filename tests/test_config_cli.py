@@ -113,6 +113,9 @@ MALFORMED = [
     ("detector.fusion_weights[1]", {"detector": {"fusion_weights": [0.6, "x", 0.15]}}),
     ("detector.fusion_weights", {"detector": {"fusion_weights": [0.6, 0.4]}}),
     ("detector.min_clicks", {"detector": {"min_clicks": 2.0}}),
+    # Range checks name the field too: weights summing to 1.2, a zero cap.
+    ("detector.fusion_weights (w_bluff, w_thresh, w_profile)", {"detector": {"fusion_weights": [0.6, 0.3, 0.3]}}),
+    ("detector.click_cap", {"detector": {"click_cap": 0}}),
     # Non-finite floats: an infinite session rate never ends a run, a NaN
     # gap stops one mid-way, a NaN threshold scores every agent with NaN.
     ("behavior.sessions_per_day", {"behavior": {"sessions_per_day": float("inf")}}),

@@ -67,8 +67,10 @@ def moved_ulps(x: float, ulps: int) -> float:
 def test_traffic_outputs_hold_when_rng_log_moves_by_ulps(tmp_path, monkeypatch, ulps):
     """Traffic does not hang on the host libm's last digits: with every
     ``math.log`` result in ``bluffsim.rng`` moved by 2^k ulps, the page gaps
-    and Poisson counts it draws, and so events.jsonl and truth.csv, keep
-    their golden digests."""
+    and Poisson counts it draws, and so events.jsonl, keep their golden
+    digest.  Only events.jsonl can show a libm dependency today: truth.csv
+    holds the agent kinds, which population drawing picks without a log.
+    Its digest is asserted too, should that drawing ever come to call one."""
     calls = []
 
     def log(x):

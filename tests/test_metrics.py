@@ -16,7 +16,6 @@ from bluffsim.metrics import (
     f1,
     precision,
     recall,
-    roc_points,
     threshold_curve,
 )
 from bluffsim.pipeline import _reference, build_broker, run_scenario
@@ -65,7 +64,6 @@ def test_confusion_hand_count():
         truth[f"u{i}"] = AgentKind.BENIGN
     c = confusion(reports, truth)
     assert (c.tp, c.fp, c.tn, c.fn) == (2, 1, 6, 1)
-    assert c.total() == 10
 
 
 def test_confusion_missing_truth_is_error():
@@ -96,19 +94,21 @@ def test_perfect_detector():
 # -- ROC / AUC -------------------------------------------------------------------
 
 
+def fused_auc(reports: dict, truth: dict):
+    """The AUC of ``reports``' fused scores, the blacklist left out."""
+    return threshold_curve(((a, r.fused, False) for a, r in reports.items()), truth).auc
+
+
 def test_auc_perfect_separation():
     reports = {"b": report("b", fused=0.9), "u": report("u", fused=0.1)}
     truth = {"b": AgentKind.RANDOM_BOT, "u": AgentKind.BENIGN}
-    points, auc = roc_points(reports, truth)
-    assert auc == 1.0
-    assert points[0] == (0.0, 0.0) and points[-1] == (1.0, 1.0)
+    assert fused_auc(reports, truth) == 1.0
 
 
 def test_auc_constant_scores_half():
     reports = {"b": report("b", fused=0.5), "u": report("u", fused=0.5)}
     truth = {"b": AgentKind.RANDOM_BOT, "u": AgentKind.BENIGN}
-    _, auc = roc_points(reports, truth)
-    assert auc == 0.5
+    assert fused_auc(reports, truth) == 0.5
 
 
 def test_auc_hand_computed_with_tie_structure():
@@ -124,14 +124,12 @@ def test_auc_hand_computed_with_tie_structure():
         "u1": AgentKind.BENIGN,
         "u2": AgentKind.BENIGN,
     }
-    _, auc = roc_points(reports, truth)
-    assert auc == 0.75
+    assert fused_auc(reports, truth) == 0.75
 
 
 def test_auc_single_class_rejected():
     reports = {"u": report("u", fused=0.5)}
-    with pytest.raises(ValueError):
-        roc_points(reports, {"u": AgentKind.BENIGN})
+    assert fused_auc(reports, {"u": AgentKind.BENIGN}) is None
 
 
 def concordance(pos_scores, neg_scores):
@@ -158,8 +156,7 @@ def test_auc_equals_concordance_exactly(pos, neg):
     for i, s in enumerate(neg):
         reports[f"u{i}"] = report(f"u{i}", fused=s)
         truth[f"u{i}"] = AgentKind.BENIGN
-    _, auc = roc_points(reports, truth)
-    assert auc == concordance(pos, neg)
+    assert fused_auc(reports, truth) == concordance(pos, neg)
 
 
 # -- threshold curve -------------------------------------------------------------
@@ -206,11 +203,9 @@ def assert_curve_matches_reference(scores: dict, detector: DetectorConfig, truth
     pos = [r.fused for a, r in fused.items() if truth[a] is not AgentKind.BENIGN]
     neg = [r.fused for a, r in fused.items() if truth[a] is AgentKind.BENIGN]
     if pos and neg:
-        assert curve.auc == roc_points(fused, truth)[1] == concordance(pos, neg)
+        assert curve.auc == fused_auc(fused, truth) == concordance(pos, neg)
     else:
         assert curve.auc is None
-        with pytest.raises(ValueError):
-            roc_points(fused, truth)
     return curve
 
 

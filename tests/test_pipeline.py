@@ -171,7 +171,12 @@ def test_repeated_traffic_values_share_one_pass(monkeypatch):
     assert rows[0] == rows[1] == rows[2]
 
 
-@pytest.mark.parametrize("param,values", [("injection.rho", [0.1, 1.5]), ("detector.p0", [0.02, 1.5])])
+# A fusion weight cannot move alone: the three must still sum to 1, which is
+# why a sweep never gives two configs that differ in their weights only.
+@pytest.mark.parametrize(
+    "param,values",
+    [("injection.rho", [0.1, 1.5]), ("detector.p0", [0.02, 1.5]), ("detector.w_bluff", [0.6, 0.5])],
+)
 def test_sweep_validates_every_value_before_serving(monkeypatch, param, values):
     served = counting_serve(monkeypatch)
     with pytest.raises(ConfigError, match=param.split(".")[1]):
@@ -209,3 +214,8 @@ def test_sweep_scores_once_per_scoring_setting(monkeypatch):
     calls.update(dict.fromkeys(calls, 0))
     sweep(cfg, "detector.p0", [0.02, 0.005, 0.02])
     assert calls == {name: 2 * n for name, n in once.items()}
+
+    # Three distinct window lengths scan, score and sort three times.
+    calls.update(dict.fromkeys(calls, 0))
+    sweep(cfg, "detector.window_ms", [60_000, 600_000, 60_000, 3_600_000])
+    assert calls == {name: 3 * n for name, n in once.items()}
