@@ -2,7 +2,7 @@
 decoy ads and evaluates a fused click-fraud detection pipeline against
 explicit benign and adversarial traffic models."""
 
-from .broker import Broker, Campaign, ConfigError, InjectionConfig
+from .broker import Broker, Campaign, InjectionConfig
 from .config import (
     CampaignSpec,
     PRESETS,
@@ -26,6 +26,7 @@ from .domain import (
     AdUnit,
     Agent,
     AgentKind,
+    ConfigError,
     Event,
     EventType,
     relevance,
@@ -34,8 +35,6 @@ from .domain import (
 from .metrics import (
     Confusion,
     EconomicSummary,
-    Metered,
-    confusion,
     economics,
     f1,
     precision,

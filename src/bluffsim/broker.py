@@ -18,15 +18,12 @@ from .domain import (
     MS_PER_DAY,
     AdKind,
     AdUnit,
+    ConfigError,
     RelevanceCache,
     TopicVector,
     basis_vector,
 )
 from .rng import STREAM_BLUFF_POOL, SplitMix64
-
-
-class ConfigError(ValueError):
-    """Raised when a configuration cannot produce a valid artifact."""
 
 
 @dataclass

@@ -12,8 +12,8 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .broker import ConfigError
 from .config import PRESETS, dump_config, load_config
+from .domain import ConfigError
 from .pipeline import run, sweep
 
 

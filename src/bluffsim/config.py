@@ -22,9 +22,9 @@ from typing import Optional
 
 import yaml
 
-from .broker import ConfigError, InjectionConfig
+from .broker import InjectionConfig
 from .detection import DetectorConfig
-from .domain import DEFAULT_TOPIC_DIM
+from .domain import DEFAULT_TOPIC_DIM, ConfigError
 from .traffic import BehaviorParams, TrafficMix
 
 FLAT_DIURNAL = tuple(1.0 for _ in range(24))

@@ -13,13 +13,13 @@ import math
 from collections import deque
 from collections.abc import Sequence
 from dataclasses import dataclass, field
-from typing import NamedTuple, Optional
+from typing import Optional
 
-from .broker import ConfigError
 from .domain import (
     MS_PER_DAY,
     MS_PER_HOUR,
     AdKind,
+    ConfigError,
     EventType,
     event_sort_key,
     in_event_order,
@@ -456,28 +456,16 @@ class EvidenceScan:
         return Evidence(agents, self._ip_max, blacklisted, settings, self._blacklist_adds)
 
 
-class SubScores(NamedTuple):
-    """One agent's sub-scores before fusion, with the evidence they rest on."""
-
-    s_bluff: float
-    s_thresh: float
-    s_profile: float
-    p_value: float
-    max_window_clicks: int
-    divergence: float
-    blacklisted: bool
-    total_clicks: int
-    decoy_clicks: int
-
-
-def sub_scores(evidence: Evidence, cfg: DetectorConfig, reference: ReferenceProfile) -> dict:
+def score_evidence(evidence: Evidence, cfg: DetectorConfig, reference: ReferenceProfile) -> dict:
     """Score every agent of ``evidence`` with the decoy test, the window
-    threshold and the profile divergence; agent_id -> ``SubScores``.
+    threshold and the profile divergence, and fuse the scores into a
+    verdict; agent_id -> ``SuspicionReport``.  Agents on a still-active
+    blacklist entry at stream end are flagged regardless of their fused
+    score.
 
-    Reads every detector field but the fusion weights and
-    ``fusion_threshold``.  Raises ``ValueError`` when ``cfg``'s accumulation
-    settings differ from those the evidence was built with, since the scan
-    would have come out differently.
+    Raises ``ValueError`` when ``cfg``'s accumulation settings differ from
+    those the evidence was built with, since the scan would have come out
+    differently.
     """
     cfg.validate()
     settings = accumulation_settings(cfg)
@@ -488,41 +476,36 @@ def sub_scores(evidence: Evidence, cfg: DetectorConfig, reference: ReferenceProf
             if built != now
         ]
         raise ValueError("evidence was accumulated with other detector settings: " + ", ".join(stale))
-    scores: dict[str, SubScores] = {}
+    reports: dict[str, SuspicionReport] = {}
     for agent_id, led in evidence.agents.items():
         s_b, p_value = score_bluff(led.total_clicks, led.decoy_clicks, cfg)
         c = evidence.window_max.get(led.ip, 0)
+        s_t = threshold_score(c, cfg)
         s_p, div = profile_divergence(
             led.hour_counts, led.region_counts, led.total_clicks, reference, cfg
         )
-        scores[agent_id] = SubScores(
-            s_b, threshold_score(c, cfg), s_p, p_value, c, div,
-            led.ip in evidence.blacklisted, led.total_clicks, led.decoy_clicks,
-        )
-    return scores
-
-
-def fuse_scores(scores: dict, cfg: DetectorConfig) -> dict:
-    """Fuse each agent's ``SubScores`` into a verdict with the fusion weights
-    and threshold of ``cfg``; agent_id -> ``SuspicionReport``.  Reads only
-    ``w_bluff``, ``w_thresh``, ``w_profile`` and ``fusion_threshold``.
-    Agents on a still-active blacklist entry at stream end are flagged
-    regardless of their fused score."""
-    reports: dict[str, SuspicionReport] = {}
-    for agent_id, (s_b, s_t, s_p, p_value, c, div, blacklisted, total, decoys) in scores.items():
+        blacklisted = led.ip in evidence.blacklisted
         fused, flagged = fuse(s_b, s_t, s_p, cfg, blacklisted=blacklisted)
         reports[agent_id] = SuspicionReport(
-            agent_id, s_b, s_t, s_p, fused, flagged, p_value, c, div, blacklisted, total, decoys
+            agent_id, s_b, s_t, s_p, fused, flagged, p_value, c, div, blacklisted, led.total_clicks, led.decoy_clicks
         )
     return reports
 
 
-def score_evidence(evidence: Evidence, cfg: DetectorConfig, reference: ReferenceProfile) -> dict:
-    """Score every agent of ``evidence`` and fuse the scores into verdicts:
-    ``fuse_scores`` of ``sub_scores``, so it raises ``ValueError`` as
-    ``sub_scores`` does.  A caller scoring one evidence under several fusion
-    settings can take ``sub_scores`` once and fuse it per setting."""
-    return fuse_scores(sub_scores(evidence, cfg, reference), cfg)
+def fuse_scores(reports: dict, cfg: DetectorConfig) -> dict:
+    """``reports`` fused again with the fusion weights and threshold of
+    ``cfg``; agent_id -> ``SuspicionReport``.  Reads only ``w_bluff``,
+    ``w_thresh``, ``w_profile`` and ``fusion_threshold``, so it equals
+    ``score_evidence`` under ``cfg`` when ``cfg`` differs from the scoring
+    detector in those fields alone."""
+    fused_reports: dict[str, SuspicionReport] = {}
+    for agent_id, r in reports.items():
+        fused, flagged = fuse(r.s_bluff, r.s_thresh, r.s_profile, cfg, blacklisted=r.blacklisted)
+        fused_reports[agent_id] = SuspicionReport(
+            agent_id, r.s_bluff, r.s_thresh, r.s_profile, fused, flagged, r.p_value,
+            r.max_window_clicks, r.divergence, r.blacklisted, r.total_clicks, r.decoy_clicks,
+        )
+    return fused_reports
 
 
 def run_detection(

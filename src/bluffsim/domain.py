@@ -33,6 +33,10 @@ MAX_DWELL_MS = 4000
 TopicVector = tuple  # tuple[float, ...] of length D
 
 
+class ConfigError(ValueError):
+    """Raised when a configuration cannot produce a valid artifact."""
+
+
 class AdKind(enum.Enum):
     REAL = "real"
     BLUFF_A = "bluff_a"  # targeted at the profile, content unrelated to it

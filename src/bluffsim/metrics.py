@@ -4,9 +4,11 @@ Classification is agent-level: an agent is a positive if its true kind is
 anything other than benign.  These functions run after a scenario and are
 pure over the run's outputs.  ``threshold_curve`` sorts the agents once by
 fused score and answers every fusion threshold's confusion counts and
-flagged fraud spend, and the AUC, from that one order.  The economics read
+flagged fraud spend, and the AUC, from that one order.  ``economics`` reads
 the broker's own counts (ledger, decoy overhead, real and decoy
-impressions); nothing here walks the event stream.
+impressions) into one ``EconomicSummary`` per run; each set of verdicts
+then sets only its flagged fraud spend.  Nothing here walks the event
+stream.
 """
 
 from __future__ import annotations
@@ -26,27 +28,6 @@ class Confusion:
     fp: int = 0
     tn: int = 0
     fn: int = 0
-
-
-def confusion(reports: dict, truth: dict) -> Confusion:
-    """Agent-level confusion counts; positive = truly fraudulent."""
-    c = Confusion()
-    for agent_id, report in reports.items():
-        kind = truth.get(agent_id)
-        if kind is None:
-            raise ValueError(f"agent {agent_id} missing from truth labels")
-        positive = kind is not AgentKind.BENIGN
-        if report.flagged:
-            if positive:
-                c.tp += 1
-            else:
-                c.fp += 1
-        else:
-            if positive:
-                c.fn += 1
-            else:
-                c.tn += 1
-    return c
 
 
 def precision(c: Confusion) -> float:
@@ -155,39 +136,16 @@ class EconomicSummary:
     fraud_spend_flagged_micros: int  # subset attributable to flagged agents (would-be refunds)
     bluff_impression_share: float
     bluff_slot_overhead_micros: int  # score value of real ads displaced by decoys
-
-
-@dataclass
-class Metered:
-    """What the broker of one run metered, read once however many sets of
-    verdicts are then costed against it."""
-
-    total_spend_micros: int
     fraud_spend_by_agent: dict  # non-benign agent_id -> micros charged for its clicks
-    bluff_impression_share: float
-    bluff_slot_overhead_micros: int
-
-    def summary(self, fraud_spend_flagged_micros: int) -> EconomicSummary:
-        """The economics of one set of verdicts, given the fraud spend of the
-        agents they flag (``ThresholdCurve.at``'s weight over
-        ``fraud_spend_by_agent``); nothing else depends on them."""
-        fraud = sum(self.fraud_spend_by_agent.values())
-        return EconomicSummary(
-            self.total_spend_micros,
-            fraud,
-            fraud_spend_flagged_micros,
-            self.bluff_impression_share,
-            self.bluff_slot_overhead_micros,
-        )
 
 
-def economics(broker, truth: dict) -> Metered:
+def economics(broker, truth: dict) -> EconomicSummary:
     """Spend and decoy-overhead accounting for one run, read off the broker
     that served it: its ledger, walked once, its displaced-score overhead and
     the impressions it metered (decoys in ``decoy_impressions``, real ads in
-    ``quality``).  ``Metered.summary`` then costs each set of verdicts from
-    their flagged fraud spend.  The bluff impression share is 0 when nothing
-    was served."""
+    ``quality``).  No agent is flagged yet: a set of verdicts' flagged fraud
+    spend is ``ThresholdCurve.at``'s weight over ``fraud_spend_by_agent``.
+    The bluff impression share is 0 when nothing was served."""
     total = 0
     fraud: dict[str, int] = {}
     for entry in broker.ledger.entries:
@@ -197,9 +155,11 @@ def economics(broker, truth: dict) -> Metered:
             fraud[entry.agent_id] = fraud.get(entry.agent_id, 0) + entry.amount_micros
     decoys = broker.decoy_impressions
     impressions = decoys + sum(qs.impressions for qs in broker.quality.values())
-    return Metered(
+    return EconomicSummary(
         total_spend_micros=total,
-        fraud_spend_by_agent=fraud,
+        fraud_spend_micros=sum(fraud.values()),
+        fraud_spend_flagged_micros=0,
         bluff_impression_share=decoys / impressions if impressions else 0.0,
         bluff_slot_overhead_micros=broker.overhead_micros,
+        fraud_spend_by_agent=fraud,
     )

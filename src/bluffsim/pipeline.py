@@ -16,23 +16,21 @@ from itertools import groupby
 from pathlib import Path
 from typing import Callable, Optional
 
-from .broker import Broker, Campaign, ConfigError
+from .broker import Broker, Campaign
 from .config import ScenarioConfig, _check, _field_types, dump_config
 from .detection import (
     EvidenceScan,
     ReferenceProfile,
     _raise_on_violations,
     accumulation_settings,
-    fuse,
     fuse_scores,
     run_detection,
-    sub_scores,
+    score_evidence,
 )
-from .domain import AdKind, AdUnit, StreamCheck
+from .domain import AdKind, AdUnit, ConfigError, StreamCheck
 from .metrics import (
     Confusion,
     EconomicSummary,
-    Metered,
     ThresholdCurve,
     economics,
     f1,
@@ -60,8 +58,9 @@ class RunResult:
     """In-memory outputs of one scenario run.  Only ``run_scenario`` keeps
     ``events``; it is None from ``_stream``, which hands each batch to a sink
     (``run``'s events.jsonl writer, or ``sweep``'s, which drops it).  The
-    per-agent verdicts, ``reports``, are built by ``build_reports`` when
-    first read: ``run`` reads them for verdicts.csv, a sweep never does."""
+    per-agent verdicts at this config's fusion threshold, ``reports``, are
+    built by ``build_reports`` when first read: ``run`` reads them for
+    verdicts.csv, a sweep never does."""
 
     config: ScenarioConfig
     events: Optional[list]
@@ -125,26 +124,37 @@ def build_broker(config: ScenarioConfig) -> Broker:
 def run_scenario(config: ScenarioConfig) -> RunResult:
     """Execute the full pipeline in memory, keeping the events list.  It
     walks that list (``run_traffic``, ``run_detection``) rather than calling
-    ``_stream`` because the bench's tracer counts passes by those names."""
+    ``_stream`` because the bench's tracer counts passes by those names;
+    from the scored reports on it shares ``_pass``'s code (``_curve``,
+    ``_result``)."""
     config.validate()
     broker = build_broker(config)
     events, truth, ip_regions = run_traffic(config, broker)
     reports = run_detection(events, config.detector, broker.catalog(), ip_regions, _reference(config))
-    metered = economics(broker, truth)
-    scored = ((agent_id, r.fused, r.blacklisted) for agent_id, r in reports.items())
-    curve = threshold_curve(scored, truth, metered.fraud_spend_by_agent)
-    return _result(config, events, truth, lambda: reports, curve, metered, broker)
+    econ = economics(broker, truth)
+    return _result(config, events, truth, reports, _curve(reports, truth, econ), econ, broker)
 
 
 def _reference(config: ScenarioConfig) -> ReferenceProfile:
     return ReferenceProfile.from_config(config.diurnal, config.mix.region_count)
 
 
-def _result(config, events, truth, build_reports, curve: ThresholdCurve, metered: Metered, broker) -> RunResult:
-    """The ``RunResult`` of ``config``: its confusion counts and flagged
-    fraud spend are read off ``curve`` at its fusion threshold."""
+def _curve(reports: dict, truth: dict, econ: EconomicSummary) -> ThresholdCurve:
+    """The ``threshold_curve`` of ``reports``' fused scores, weighted by
+    each agent's fraud spend."""
+    scored = ((agent_id, r.fused, r.blacklisted) for agent_id, r in reports.items())
+    return threshold_curve(scored, truth, econ.fraud_spend_by_agent)
+
+
+def _result(config, events, truth, reports: dict, curve: ThresholdCurve, econ: EconomicSummary, broker) -> RunResult:
+    """The ``RunResult`` of ``config``, from ``reports`` scored under a
+    detector that differs from ``config``'s in ``fusion_threshold`` at most,
+    and their ``curve``.  Its confusion counts and flagged fraud spend are
+    read off ``curve`` at its fusion threshold; its ``reports`` are
+    ``reports`` fused again at that threshold when first read."""
     conf, fraud_spend_flagged = curve.at(config.detector.fusion_threshold)
-    econ = metered.summary(fraud_spend_flagged)
+    econ = replace(econ, fraud_spend_flagged_micros=fraud_spend_flagged)
+    build_reports = partial(fuse_scores, reports, config.detector)
     return RunResult(config, events, truth, build_reports, conf, econ, curve.auc, broker)
 
 
@@ -282,12 +292,13 @@ def _pass(configs: list, sink):
     After the pass the broker's ledger is walked once (``economics``), and
     once per distinct setting of every detector field but
     ``fusion_threshold``, the one field the fused scores do not read, the
-    agents are scored (``sub_scores``) and their fused scores sorted into a
-    ``threshold_curve``.  A sweep moves one field and ``validate`` holds the
-    fusion weights to a sum of 1, so no two configs differ in a weight
-    alone.  Each config then reads its confusion counts, flagged fraud spend
-    and AUC off its curve; its verdicts are fused only if its result's
-    ``reports`` are read.  Results are yielded one at a time.
+    agents are scored into ``SuspicionReport``s (``score_evidence``) and
+    their fused scores sorted into a threshold curve (``_curve``).  A sweep
+    moves one field and ``validate`` holds the fusion weights to a sum of 1,
+    so no two configs differ in a weight alone.  Each config then reads its
+    confusion counts, flagged fraud spend and AUC off its curve
+    (``_result``); its verdicts are fused at its threshold only if its
+    result's ``reports`` are read.  Results are yielded one at a time.
     """
     config = configs[0]
     broker = build_broker(config)
@@ -304,21 +315,16 @@ def _pass(configs: list, sink):
         for scan in scans.values():
             scan.feed(batch)
         sink(batch)
-    evidence = {key: scan.evidence() for key, scan in scans.items()}
-    metered = economics(broker, truth)
-    scored = {}  # detector but its threshold -> (sub-scores, threshold curve)
+    econ = economics(broker, truth)
+    scored = {}  # detector but its threshold -> (reports, threshold curve)
     for cfg in configs:
         detector = cfg.detector
         key = astuple(replace(detector, fusion_threshold=0.0))
         if key not in scored:
-            scores = sub_scores(evidence[accumulation_settings(detector)], detector, reference)
-            fused = (
-                (agent_id, fuse(s.s_bluff, s.s_thresh, s.s_profile, detector)[0], s.blacklisted)
-                for agent_id, s in scores.items()
-            )
-            scored[key] = scores, threshold_curve(fused, truth, metered.fraud_spend_by_agent)
-        scores, curve = scored[key]
-        yield _result(cfg, None, truth, partial(fuse_scores, scores, detector), curve, metered, broker)
+            evidence = scans[accumulation_settings(detector)].evidence()
+            reports = score_evidence(evidence, detector, reference)
+            scored[key] = reports, _curve(reports, truth, econ)
+        yield _result(cfg, None, truth, *scored[key], econ, broker)
 
 
 def run(config: ScenarioConfig, out_dir) -> RunOutputs:

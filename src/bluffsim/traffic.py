@@ -16,7 +16,7 @@ from itertools import accumulate
 from operator import itemgetter
 from typing import Optional
 
-from .broker import Broker, ConfigError
+from .broker import Broker
 from .domain import (
     MAX_DWELL_MS,
     MS_PER_DAY,
@@ -24,6 +24,7 @@ from .domain import (
     AdKind,
     Agent,
     AgentKind,
+    ConfigError,
     Event,
     EventType,
     RelevanceCache,

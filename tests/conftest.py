@@ -13,7 +13,8 @@ from bluffsim.detection import (
     classify_decoy_click,
     run_detection,
 )
-from bluffsim.domain import MS_PER_DAY, MS_PER_HOUR, AdKind, Event, EventType, basis_vector
+from bluffsim.domain import MS_PER_DAY, MS_PER_HOUR, AdKind, AgentKind, Event, EventType, basis_vector
+from bluffsim.metrics import Confusion
 from bluffsim.pipeline import run_scenario
 
 
@@ -90,6 +91,29 @@ def mean_slate_rank(events, ad_ids, exclude_agents=None) -> float:
     if count == 0:
         raise ValueError("no impressions found for the given ads")
     return total / count
+
+
+def confusion(reports: dict, truth: dict) -> Confusion:
+    """Agent-level confusion counts of ``reports``' flags, counted verdict
+    by verdict; positive = truly fraudulent.  The reference for
+    ``metrics.ThresholdCurve.at``."""
+    c = Confusion()
+    for agent_id, report in reports.items():
+        kind = truth.get(agent_id)
+        if kind is None:
+            raise ValueError(f"agent {agent_id} missing from truth labels")
+        positive = kind is not AgentKind.BENIGN
+        if report.flagged:
+            if positive:
+                c.tp += 1
+            else:
+                c.fp += 1
+        else:
+            if positive:
+                c.fn += 1
+            else:
+                c.tn += 1
+    return c
 
 
 class ReferenceEvidenceScan:

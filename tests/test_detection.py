@@ -12,11 +12,14 @@ from bluffsim.detection import (
     AgentEvidence,
     Blacklist,
     DetectorConfig,
+    Evidence,
     EvidenceScan,
     ReferenceProfile,
+    accumulation_settings,
     binom_tail_pvalue,
     classify_decoy_click,
     fuse,
+    fuse_scores,
     jensen_shannon,
     profile_divergence,
     run_detection,
@@ -455,6 +458,67 @@ def test_score_evidence_refuses_evidence_from_other_settings(name):
     setattr(other, name, getattr(other, name) * 2 if name != "mismatch_epsilon" else 0.5)
     with pytest.raises(ValueError, match=name):
         score_evidence(evidence, other, ref)
+
+
+# -- fusing scored reports again ---------------------------------------------------
+
+
+def report_view(reports):
+    """Every field of every report, in order, floats by ``float.hex``."""
+    return [
+        (agent_id, [(name, value.hex() if isinstance(value, float) else value) for name, value in vars(r).items()])
+        for agent_id, r in reports.items()
+    ]
+
+
+@st.composite
+def fusion_settings(draw):
+    """Valid fusion weights and a fusion threshold."""
+    w_bluff = draw(st.sampled_from((0.0, 0.25, 0.6, 1.0)) | st.floats(0.0, 1.0))
+    w_thresh = draw(st.floats(0.0, 1.0 - w_bluff))
+    threshold = draw(st.sampled_from((0.0, 0.5, 1.0)) | st.floats(0.0, 1.0))
+    return {"w_bluff": w_bluff, "w_thresh": w_thresh, "w_profile": (1.0 - w_bluff) - w_thresh, "fusion_threshold": threshold}
+
+
+@st.composite
+def scored_evidence(draw):
+    """A detector, the ``Evidence`` of a scan under it (random tallies over
+    two regions) and a second detector that differs from it in the fusion
+    weights and threshold only."""
+    d1 = DetectorConfig(
+        p0=draw(st.floats(0.001, 0.5)),
+        pvalue_threshold=draw(st.floats(1e-8, 0.5)),
+        min_clicks=draw(st.integers(1, 8)),
+        click_cap=draw(st.integers(1, 12)),
+        divergence_threshold=draw(st.floats(0.001, 1.0)),
+        **draw(fusion_settings()),
+    )
+    d2 = dataclasses.replace(d1, **draw(fusion_settings()))
+    agents, window_max, blacklisted = {}, {}, set()
+    for i in range(draw(st.integers(0, 12))):
+        ip = f"10.0.0.{draw(st.integers(0, 4))}"
+        clicks = draw(st.lists(st.tuples(st.integers(0, 23), st.integers(0, 1)), max_size=40))
+        led = AgentEvidence(ip=ip, total_clicks=len(clicks), region_counts=[0, 0])
+        led.decoy_clicks = draw(st.integers(0, len(clicks)))
+        for hour, region in clicks:
+            led.hour_counts[hour] += 1
+            led.region_counts[region] += 1
+        agents[f"a{i}"] = led
+        if clicks:
+            window_max[ip] = max(window_max.get(ip, 0), draw(st.integers(1, 30)))
+        if draw(st.booleans()):
+            blacklisted.add(ip)
+    evidence = Evidence(agents, window_max, frozenset(blacklisted), accumulation_settings(d1))
+    return evidence, d1, d2
+
+
+@settings(max_examples=200, deadline=None)
+@given(scored_evidence())
+def test_fuse_scores_equals_scoring_under_the_other_fusion_settings(case):
+    evidence, d1, d2 = case
+    ref = ReferenceProfile.from_config(tuple(range(1, 25)), 2)
+    refused = fuse_scores(score_evidence(evidence, d1, ref), d2)
+    assert report_view(refused) == report_view(score_evidence(evidence, d2, ref))
 
 
 def test_run_detection_zero_click_agent_reported_unflagged():

@@ -5,13 +5,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from bluffsim.config import load_config
-from bluffsim.detection import DetectorConfig, EvidenceScan, SubScores, SuspicionReport, fuse_scores, sub_scores
+from bluffsim.detection import DetectorConfig, EvidenceScan, SuspicionReport, fuse_scores, score_evidence
 from bluffsim.domain import AgentKind
 from bluffsim.metrics import (
     Confusion,
     EconomicSummary,
-    Metered,
-    confusion,
     economics,
     f1,
     precision,
@@ -20,7 +18,7 @@ from bluffsim.metrics import (
 )
 from bluffsim.pipeline import _reference, build_broker, run_scenario
 from bluffsim.traffic import run_traffic
-from conftest import mean_slate_rank, small_config
+from conftest import confusion, mean_slate_rank, small_config
 
 
 def report(agent_id, fused=0.0, flagged=False):
@@ -166,19 +164,20 @@ def test_auc_equals_concordance_exactly(pos, neg):
 # (``confusion``) and sums the flagged agents' fraud spend agent by agent.
 
 
-def reference_summary(metered: Metered, reports: dict) -> EconomicSummary:
-    """The economics of ``reports``' verdicts, the flagged fraud spend summed
-    over the verdicts themselves."""
+def reference_summary(econ: EconomicSummary, reports: dict) -> EconomicSummary:
+    """The economics of ``reports``' verdicts, the fraud spend summed over
+    the agents and the flagged fraud spend over the verdicts themselves."""
     flagged = sum(
-        micros for agent_id, micros in metered.fraud_spend_by_agent.items()
+        micros for agent_id, micros in econ.fraud_spend_by_agent.items()
         if agent_id in reports and reports[agent_id].flagged
     )
     return EconomicSummary(
-        metered.total_spend_micros,
-        sum(metered.fraud_spend_by_agent.values()),
+        econ.total_spend_micros,
+        sum(econ.fraud_spend_by_agent.values()),
         flagged,
-        metered.bluff_impression_share,
-        metered.bluff_slot_overhead_micros,
+        econ.bluff_impression_share,
+        econ.bluff_slot_overhead_micros,
+        econ.fraud_spend_by_agent,
     )
 
 
@@ -190,16 +189,19 @@ def thresholds_around(values) -> list:
     return sorted(out)
 
 
-def assert_curve_matches_reference(scores: dict, detector: DetectorConfig, truth: dict, metered: Metered):
-    fused = fuse_scores(scores, detector)
+def assert_curve_matches_reference(scored: dict, detector: DetectorConfig, truth: dict, econ: EconomicSummary):
+    """``scored``'s reports, fused under ``detector``, give a curve whose
+    every threshold matches its verdicts; ``econ`` flags no agent."""
+    fused = fuse_scores(scored, detector)
     curve = threshold_curve(
-        ((agent_id, r.fused, r.blacklisted) for agent_id, r in fused.items()), truth, metered.fraud_spend_by_agent
+        ((agent_id, r.fused, r.blacklisted) for agent_id, r in fused.items()), truth, econ.fraud_spend_by_agent
     )
     for threshold in thresholds_around({r.fused for r in fused.values()}):
-        reports = fuse_scores(scores, replace(detector, fusion_threshold=threshold))
+        reports = fuse_scores(scored, replace(detector, fusion_threshold=threshold))
         conf, flagged_spend = curve.at(threshold)
         assert conf == confusion(reports, truth), threshold
-        assert metered.summary(flagged_spend) == reference_summary(metered, reports), threshold
+        flagged = replace(econ, fraud_spend_flagged_micros=flagged_spend)
+        assert flagged == reference_summary(econ, reports), threshold
     pos = [r.fused for a, r in fused.items() if truth[a] is not AgentKind.BENIGN]
     neg = [r.fused for a, r in fused.items() if truth[a] is AgentKind.BENIGN]
     if pos and neg:
@@ -209,20 +211,23 @@ def assert_curve_matches_reference(scores: dict, detector: DetectorConfig, truth
     return curve
 
 
-def sub(s_bluff, s_thresh=0.0, s_profile=0.0, blacklisted=False) -> SubScores:
-    return SubScores(s_bluff, s_thresh, s_profile, 1.0, 0, 0.0, blacklisted, 0, 0)
+def sub(s_bluff, s_thresh=0.0, s_profile=0.0, blacklisted=False) -> SuspicionReport:
+    """A report with these sub-scores, not yet fused (``fuse_scores`` sets
+    its fused score, flag and agent id)."""
+    return SuspicionReport("", s_bluff, s_thresh, s_profile, 0.0, False, 1.0, 0, 0.0, blacklisted)
 
 
-def metered_with(fraud_spend: dict) -> Metered:
-    return Metered(10 * sum(fraud_spend.values()) + 7, fraud_spend, 0.1, 3)
+def econ_with(fraud_spend: dict) -> EconomicSummary:
+    fraud = sum(fraud_spend.values())
+    return EconomicSummary(10 * fraud + 7, fraud, 0, 0.1, 3, fraud_spend)
 
 
 def test_curve_on_tied_scores():
     scores = {f"a{i}": sub(0.5, 0.5, 0.5) for i in range(6)}
     scores["z"] = sub(0.0)
     truth = {a: AgentKind.BENIGN if i % 2 else AgentKind.RANDOM_BOT for i, a in enumerate(scores)}
-    metered = metered_with({a: 100 + i for i, a in enumerate(scores) if truth[a] is not AgentKind.BENIGN})
-    curve = assert_curve_matches_reference(scores, DetectorConfig(), truth, metered)
+    econ = econ_with({a: 100 + i for i, a in enumerate(scores) if truth[a] is not AgentKind.BENIGN})
+    curve = assert_curve_matches_reference(scores, DetectorConfig(), truth, econ)
     assert len(curve.scores) == 2
 
 
@@ -235,8 +240,8 @@ def test_curve_flags_blacklisted_agents_below_the_threshold():
         "ben-low": sub(0.0),
     }
     truth = {a: AgentKind.BENIGN if a.startswith("ben") else AgentKind.TRAINED_BOT for a in scores}
-    metered = metered_with({"bot-listed": 5, "bot-high": 50, "bot-low": 500})
-    curve = assert_curve_matches_reference(scores, DetectorConfig(), truth, metered)
+    econ = econ_with({"bot-listed": 5, "bot-high": 50, "bot-low": 500})
+    curve = assert_curve_matches_reference(scores, DetectorConfig(), truth, econ)
     # Above every score only the blacklist flags.
     assert curve.at(math.inf) == (Confusion(tp=1, fp=1, tn=1, fn=2), 5)
 
@@ -244,7 +249,7 @@ def test_curve_flags_blacklisted_agents_below_the_threshold():
 def test_curve_of_one_class_has_no_auc():
     scores = {f"u{i}": sub(i / 10, blacklisted=i == 3) for i in range(5)}
     truth = dict.fromkeys(scores, AgentKind.BENIGN)
-    curve = assert_curve_matches_reference(scores, DetectorConfig(), truth, metered_with({}))
+    curve = assert_curve_matches_reference(scores, DetectorConfig(), truth, econ_with({}))
     assert curve.auc is None and curve.n_pos == 0
 
 
@@ -265,7 +270,7 @@ RUN_CASES = [("default-attack", 10), ("dictionary-attack", 10), ("default-attack
 
 @pytest.mark.parametrize("preset, click_cap", RUN_CASES)
 def test_curve_matches_reference_on_a_run(preset, click_cap):
-    """Sub-scores of a small 1-day run; a click cap of 2 puts IPs on the
+    """The reports of a small 1-day run; a click cap of 2 puts IPs on the
     blacklist."""
     cfg = load_config(preset)
     cfg.mix.n_benign = 60
@@ -276,9 +281,9 @@ def test_curve_matches_reference_on_a_run(preset, click_cap):
     reference = _reference(cfg)
     scan = EvidenceScan(cfg.detector, broker.catalog(), ip_regions, reference)
     scan.feed(events)
-    scores = sub_scores(scan.evidence(), cfg.detector, reference)
+    scores = score_evidence(scan.evidence(), cfg.detector, reference)
     if click_cap == 2:
-        assert any(s.blacklisted for s in scores.values())
+        assert any(r.blacklisted for r in scores.values())
     for weights in ((0.6, 0.25, 0.15), (0.0, 1.0, 0.0)):
         detector = replace(cfg.detector, **dict(zip(("w_bluff", "w_thresh", "w_profile"), weights)))
         assert_curve_matches_reference(scores, detector, truth, economics(broker, truth))
@@ -305,7 +310,7 @@ def test_curve_matches_reference_on_random_sub_scores(agents, weights):
         if kind is not AgentKind.BENIGN and micros:
             spend[agent_id] = micros
     detector = DetectorConfig(w_bluff=weights[0], w_thresh=weights[1], w_profile=weights[2])
-    assert_curve_matches_reference(scores, detector, truth, metered_with(spend))
+    assert_curve_matches_reference(scores, detector, truth, econ_with(spend))
 
 
 # -- economics -------------------------------------------------------------------
